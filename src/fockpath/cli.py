@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     except (PhotonBudgetError, TruncationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
-    except (FockPathError, ValueError, OSError) as exc:
+    except (FockPathError, ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

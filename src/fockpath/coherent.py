@@ -140,10 +140,11 @@ def combine_polarized_coherent(
     if mag == 0.0:
         raise NullStateError("both coherent amplitudes are zero")
     theta = math.atan2(abs(gamma2), abs(gamma1))
+    # math.atan2, unlike cmath.phase, does not raise when the phase underflows
+    phi1, phi2 = (math.atan2(g.imag, g.real) for g in (gamma1, gamma2))
     if abs(gamma1) == 0.0:
-        return abs(gamma2) * cmath.exp(1j * cmath.phase(gamma2)), math.pi / 2, 0.0
-    phi1 = cmath.phase(gamma1)
-    delta = cmath.phase(gamma2) - phi1 if abs(gamma2) else 0.0
+        return abs(gamma2) * cmath.exp(1j * phi2), math.pi / 2, 0.0
+    delta = phi2 - phi1 if abs(gamma2) else 0.0
     return mag * cmath.exp(1j * phi1), theta, delta
 
 

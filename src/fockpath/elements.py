@@ -53,16 +53,15 @@ def _as_matrix(rows) -> Matrix:
 
 
 def unitarity_defect(matrix) -> float:
-    """Max-entry deviation of M M^dag from the identity."""
+    """Max-entry deviation of M M^dag from the identity; NaN if any is NaN."""
     m = _as_matrix(matrix)
-    size = len(m)
-    worst = 0.0
-    for i in range(size):
-        for j in range(size):
-            acc = sum(m[i][k] * m[j][k].conjugate() for k in range(size))
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(acc - target))
-    return worst
+    size = range(len(m))
+    errors = [
+        abs(sum(m[i][k] * m[j][k].conjugate() for k in size) - (1.0 if i == j else 0.0))
+        for i in size
+        for j in size
+    ]
+    return math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
 
 
 def mat2_mul(a, b) -> Matrix:
@@ -113,7 +112,7 @@ class ModeTransform:
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ModeMismatchError(f"matrix must be {n}x{n}")
         defect = unitarity_defect(self.matrix)
-        if defect > UNITARY_TOL:
+        if not defect <= UNITARY_TOL:  # also rejects NaN
             raise NonUnitaryError(
                 f"element not unitary: defect {defect:.3e} exceeds {UNITARY_TOL:.0e}"
             )

@@ -56,6 +56,15 @@ class Mode(NamedTuple):
         return cls(port, pol)
 
 
+def _checked_count(mode, n) -> tuple[Mode, int]:
+    if not isinstance(mode, Mode):
+        mode = Mode(*mode)
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"negative photon count {n} for mode {mode.label()}")
+    return mode, n
+
+
 class BasisState:
     """Occupancy of a set of modes: how many photons sit in each.
 
@@ -76,15 +85,21 @@ class BasisState:
         pairs = occupancy.items() if isinstance(occupancy, Mapping) else occupancy
         acc: dict[Mode, int] = {}
         for mode, n in pairs:
-            if not isinstance(mode, Mode):
-                mode = Mode(*mode)
-            n = int(n)
-            if n < 0:
-                raise ValueError(f"negative photon count {n} for mode {mode.label()}")
+            mode, n = _checked_count(mode, n)
             if n:
                 acc[mode] = acc.get(mode, 0) + n
         self._items = tuple(sorted(acc.items()))
         self._hash = hash(self._items)
+
+    @classmethod
+    def _from_counts(cls, counts: dict[Mode, int]) -> "BasisState":
+        """Trusted constructor for this module and the engines: ``counts``
+        must map :class:`Mode` instances to ints >= 0 (zeros are dropped).
+        Nothing checks that; ``__init__`` is bypassed."""
+        bs = object.__new__(cls)
+        bs._items = tuple(sorted([kv for kv in counts.items() if kv[1]]))
+        bs._hash = hash(bs._items)
+        return bs
 
     def items(self) -> tuple[tuple[Mode, int], ...]:
         return self._items
@@ -110,15 +125,16 @@ class BasisState:
         """Return a copy with the given mode counts overwritten (0 removes)."""
         occ = dict(self._items)
         for mode, n in changes.items():
+            mode, n = _checked_count(mode, n)
             occ[mode] = n
-        return BasisState(occ)
+        return BasisState._from_counts(occ)
 
     def combine(self, other: "BasisState") -> "BasisState":
         """Mode-wise sum of two occupancies (used as monomial product)."""
         occ = dict(self._items)
         for mode, n in other._items:
             occ[mode] = occ.get(mode, 0) + n
-        return BasisState(occ)
+        return BasisState._from_counts(occ)
 
     def label(self) -> str:
         if not self._items:
@@ -176,6 +192,25 @@ class PhotonState:
         self._ports = frozenset(universe)
 
     @classmethod
+    def _from_terms(cls, terms: dict, ports: frozenset[str]) -> "PhotonState":
+        """Trusted constructor for this module and the engines: ``terms``
+        maps BasisStates whose modes all lie on ``ports`` to complex
+        amplitudes.  ``__init__`` is bypassed and the ports are not
+        rescanned; non-finite amplitudes still raise and small ones are
+        pruned."""
+        kept: dict[BasisState, complex] = {}
+        for bs, amp in terms.items():
+            mag = abs(amp)
+            if not mag < math.inf:  # inf or nan in either part
+                raise ValueError(f"non-finite amplitude for {bs.label()}")
+            if mag >= PRUNE_EPS:
+                kept[bs] = amp
+        state = object.__new__(cls)
+        state._terms = kept
+        state._ports = frozenset(ports)
+        return state
+
+    @classmethod
     def vacuum(cls, ports: Iterable[str] = ()) -> "PhotonState":
         return cls({BasisState(): 1.0 + 0j}, ports=ports)
 
@@ -223,9 +258,7 @@ def normalize(state: PhotonState) -> PhotonState:
     if n2 <= 0.0:
         raise NullStateError("cannot normalize a null state")
     scale = 1.0 / math.sqrt(n2)
-    return PhotonState(
-        {bs: a * scale for bs, a in state}, ports=state.ports, prune=PRUNE_EPS
-    )
+    return PhotonState._from_terms({bs: a * scale for bs, a in state}, state.ports)
 
 
 def inner_product(a: PhotonState, b: PhotonState) -> complex:

@@ -50,13 +50,15 @@ class CreationPolynomial:
         return len(self.terms)
 
 
+def _factorial_product(bs: BasisState) -> int:
+    return math.prod(math.factorial(n) for _, n in bs.items())
+
+
 def state_to_polynomial(state: PhotonState) -> CreationPolynomial:
     """Coefficient of each monomial is amplitude / sqrt(prod m!)."""
-    terms = {}
-    for bs, amp in state:
-        scale = math.prod(math.factorial(n) for _, n in bs.items())
-        terms[bs] = amp / math.sqrt(scale)
-    return CreationPolynomial(terms)
+    return CreationPolynomial(
+        {bs: amp / math.sqrt(_factorial_product(bs)) for bs, amp in state}
+    )
 
 
 def polynomial_to_state(
@@ -69,13 +71,12 @@ def polynomial_to_state(
 
     By default the result is normalized; a pre-normalization squared norm
     off from one by more than 1e-9 signals an unnormalized input and is
-    reported as a RuntimeWarning.
+    reported as a RuntimeWarning.  The ports of the result are ``ports``
+    plus every port a monomial mentions.
     """
-    terms = {}
-    for bs, coeff in poly.terms.items():
-        scale = math.prod(math.factorial(n) for _, n in bs.items())
-        terms[bs] = coeff * math.sqrt(scale)
-    state = PhotonState(terms, ports=ports)
+    terms = {bs: c * math.sqrt(_factorial_product(bs)) for bs, c in poly.terms.items()}
+    universe = frozenset(ports).union(m.port for bs in terms for m, _ in bs.items())
+    state = PhotonState._from_terms(terms, universe)
     n2 = state.norm_squared()
     if abs(n2 - 1.0) > 1e-9:
         warnings.warn(
@@ -86,10 +87,6 @@ def polynomial_to_state(
     if not normalized:
         return state
     return normalize(state)
-
-
-def _mono_poly(mode: Mode, exponent: int) -> dict[BasisState, complex]:
-    return {BasisState({mode: exponent}): 1.0 + 0j}
 
 
 def _poly_mul(p: _CM, q: _CM) -> dict[BasisState, complex]:
@@ -113,36 +110,41 @@ def _linear_power(
 
 
 def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPolynomial:
-    """Substitute each input operator by its image under the element."""
+    """Substitute each input operator by its image under the element.
+
+    A monomial splits into the modes the element leaves alone and the
+    exponents of its input modes.  The image of the input part is expanded
+    once per exponent tuple and merged into each untouched part.
+    """
     in_set, out_set = set(t.in_modes), set(t.out_modes)
     if in_set != out_set and in_set & out_set:
         raise ModeMismatchError(
             "transform input and output modes must coincide or be disjoint"
         )
-    reroutes = in_set != out_set
-    images = {
-        mode: [(t.out_modes[i], t.matrix[i][j]) for i in range(len(t.out_modes))]
-        for j, mode in enumerate(t.in_modes)
-    }
-    power_cache: dict[tuple[Mode, int], dict[BasisState, complex]] = {}
+    blocked = set() if in_set == out_set else out_set
+    images = [
+        [(t.out_modes[i], t.matrix[i][j]) for i in range(len(t.out_modes))]
+        for j in range(len(t.in_modes))
+    ]
+    image_cache: dict[tuple[int, ...], list[tuple[dict[Mode, int], complex]]] = {}
     out: dict[BasisState, complex] = {}
     for key, coeff in poly.terms.items():
-        expanded: dict[BasisState, complex] = {BasisState(): coeff}
-        for mode, e in key.items():
-            if mode in images:
-                ck = (mode, e)
-                if ck not in power_cache:
-                    power_cache[ck] = _linear_power(images[mode], e)
-                factor = power_cache[ck]
-            else:
-                if reroutes and mode in out_set:
-                    raise ModeMismatchError(
-                        f"output mode {mode.label()} is already occupied"
-                    )
-                factor = _mono_poly(mode, e)
-            expanded = _poly_mul(expanded, factor)
-        for k, c in expanded.items():
-            out[k] = out.get(k, 0j) + c
+        rest = dict(key.items())
+        if not blocked.isdisjoint(rest):
+            mode = min(blocked.intersection(rest))
+            raise ModeMismatchError(f"output mode {mode.label()} is already occupied")
+        exponents = tuple(rest.pop(m, 0) for m in t.in_modes)
+        image = image_cache.get(exponents)
+        if image is None:
+            expanded: dict[BasisState, complex] = {BasisState(): 1.0 + 0j}
+            for mode_images, e in zip(images, exponents):
+                expanded = _poly_mul(expanded, _linear_power(mode_images, e))
+            image = image_cache[exponents] = [
+                (dict(k.items()), c) for k, c in expanded.items()
+            ]
+        for counts, c in image:
+            k = BasisState._from_counts({**rest, **counts})
+            out[k] = out.get(k, 0j) + coeff * c
     return CreationPolynomial({k: c for k, c in out.items() if c != 0})
 
 
@@ -160,9 +162,7 @@ def apply_transform(
                     f"{bs.total} photons exceed the configured maximum of {max_photons}"
                 )
     poly = substitute_modes(state_to_polynomial(state), t)
-    ports = set(state.ports)
-    ports.update(m.port for m in t.in_modes)
-    ports.update(m.port for m in t.out_modes)
+    ports = state.ports.union(m.port for m in t.in_modes + t.out_modes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return polynomial_to_state(poly, ports=ports)

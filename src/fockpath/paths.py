@@ -30,7 +30,7 @@ ENGINE_NAME = "paths"
 
 def _require_unitary(matrix, tol: float = 1e-9):
     defect = unitarity_defect(matrix)
-    if defect > tol:
+    if not defect <= tol:  # also rejects NaN
         raise NonUnitaryError(
             f"element not unitary: defect {defect:.3e} exceeds {tol:.0e}"
         )
@@ -151,20 +151,23 @@ def trace_paths(
     return traces
 
 
-def _validate_mode_layout(state: PhotonState, t: ModeTransform):
-    in_set, out_set = set(t.in_modes), set(t.out_modes)
-    if in_set == out_set:
-        return
-    if in_set & out_set:
-        raise ModeMismatchError(
-            "transform input and output modes must coincide or be disjoint"
-        )
-    for bs, _ in state:
-        for mode in t.out_modes:
-            if bs.count(mode):
-                raise ModeMismatchError(
-                    f"output mode {mode.label()} is already occupied"
-                )
+def _split_term(bs: BasisState, in_modes, blocked, max_photons):
+    """Counts of the modes an element leaves alone, and of its input modes.
+
+    Rejects a term with photons already in one of the ``blocked`` output
+    modes of a rerouting element, or over the photon budget.
+    """
+    rest = dict(bs.items())
+    for mode in blocked:
+        if mode in rest:
+            raise ModeMismatchError(f"output mode {mode.label()} is already occupied")
+    if max_photons is not None:
+        total = sum(rest.values())
+        if total > max_photons:
+            raise PhotonBudgetError(
+                f"{total} photons exceed the configured maximum of {max_photons}"
+            )
+    return rest, [rest.pop(m, 0) for m in in_modes]
 
 
 def apply_transform(
@@ -176,39 +179,37 @@ def apply_transform(
     """Evolve a state through one element by summing photon routings.
 
     ``max_photons``, when given, bounds the photon total of every term.
-    The result is normalized.
+    Only the element's modes of each term change.  The result is
+    normalized.
     """
-    _validate_mode_layout(state, t)
-    if max_photons is not None:
-        for bs, _ in state:
-            if bs.total > max_photons:
-                raise PhotonBudgetError(
-                    f"{bs.total} photons exceed the configured maximum of {max_photons}"
-                )
+    in_set, out_set = set(t.in_modes), set(t.out_modes)
+    if in_set != out_set and in_set & out_set:
+        raise ModeMismatchError(
+            "transform input and output modes must coincide or be disjoint"
+        )
+    blocked = () if in_set == out_set else t.out_modes
     new: dict[BasisState, complex] = {}
     if len(t.in_modes) == 1:
         u = t.matrix[0][0]
-        m_in, m_out = t.in_modes[0], t.out_modes[0]
+        m_out = t.out_modes[0]
         for bs, amp in state:
-            n = bs.count(m_in)
-            nb = bs if m_in == m_out else bs.replace({m_in: 0, m_out: n})
+            rest, (n,) = _split_term(bs, t.in_modes, blocked, max_photons)
+            if not blocked:
+                nb = bs
+            else:
+                rest[m_out] = n
+                nb = BasisState._from_counts(rest)
             new[nb] = new.get(nb, 0j) + amp * u**n
     else:
-        i1, i2 = t.in_modes
         o1, o2 = t.out_modes
         cache: dict[tuple[int, int], dict[tuple[int, int], complex]] = {}
         for bs, amp in state:
-            n1, n2 = bs.count(i1), bs.count(i2)
+            rest, (n1, n2) = _split_term(bs, t.in_modes, blocked, max_photons)
             key = (n1, n2)
             if key not in cache:
                 cache[key] = scatter_two_mode(n1, n2, t.matrix, max_photons=n1 + n2)
             for (ma, mb), s_amp in cache[key].items():
-                changes = {i1: 0, i2: 0}
-                changes[o1] = ma
-                changes[o2] = mb
-                nb = bs.replace(changes)
+                nb = BasisState._from_counts({**rest, o1: ma, o2: mb})
                 new[nb] = new.get(nb, 0j) + amp * s_amp
-    ports = set(state.ports)
-    ports.update(m.port for m in t.in_modes)
-    ports.update(m.port for m in t.out_modes)
-    return normalize(PhotonState(new, ports=ports))
+    ports = state.ports.union(m.port for m in t.in_modes + t.out_modes)
+    return normalize(PhotonState._from_terms(new, ports))

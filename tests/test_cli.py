@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,36 @@ def test_run_demo_mzi_json(capsys):
     assert row["im"] == pytest.approx(1.0, abs=1e-12)
     assert payload["distributions"]["o3"] == {"1": 1.0}
     assert payload["distributions"]["o4"] == {"1": 1.0}
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
+CORPUS = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
+
+
+def _without_discrepancy(text):
+    lines = text.splitlines(keepends=True)
+    kept = [line for line in lines if not line.lstrip().startswith('"discrepancy"')]
+    assert len(kept) == len(lines) - 1
+    return "".join(kept)
+
+
+def test_golden_outputs_cover_the_corpus(circuits_dir):
+    assert CORPUS == sorted(p.stem for p in circuits_dir.glob("*.fpc"))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_run_json_matches_golden_output(name, circuits_dir, tmp_path, capsys):
+    """``state`` and ``distributions`` are byte-identical to the committed
+    output; ``discrepancy`` is engine rounding noise and only bounded."""
+    out = tmp_path / f"{name}.json"
+    source = circuits_dir / f"{name}.fpc"
+    argv = ["run", str(source), "--format", "json", "--output", str(out)]
+    code, _, err = run_main(argv, capsys)
+    assert code == 0, err
+    text = out.read_text()
+    golden = (GOLDEN_DIR / f"{name}.json").read_text()
+    assert _without_discrepancy(text) == _without_discrepancy(golden)
+    assert json.loads(text)["discrepancy"] < 1e-12
 
 
 def test_run_requires_exactly_one_circuit(tmp_path, capsys):
@@ -80,6 +111,14 @@ def test_run_budget_exit_code(tmp_path, capsys):
     code, _, err = run_main(["run", str(f)], capsys)
     assert code == 4
     assert "9" in err
+
+
+def test_run_arithmetic_overflow_exits_1(tmp_path, capsys):
+    f = tmp_path / "huge.fpc"
+    f.write_text("port a\nsource a coherent re=1e200 im=0\n")
+    code, _, err = run_main(["run", str(f)], capsys)
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_run_max_photons_flag_lifts_budget(tmp_path, capsys):

@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockpath import (
@@ -162,6 +162,9 @@ def test_combine_polarized_rejects_dark_beam():
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
 )
+# phases that underflow: cmath.phase raised OverflowError on these
+@example(2 + 5e-324j, 0j)
+@example(1 + 0j, 2 + 5e-324j)
 def test_combine_polarized_reconstructs(g1, g2):
     if abs(g1) == 0.0 and abs(g2) == 0.0:
         return

@@ -12,6 +12,7 @@ from fockpath import (
     EnergyConservationError,
     Mode,
     ModeMismatchError,
+    NonUnitaryError,
     PhaseRelationError,
     PhotonState,
     make_pbs,
@@ -87,6 +88,13 @@ def test_constructor_matrices_unitary_tightly():
     ]
     for t in candidates:
         assert unitarity_defect(t.matrix) < 1e-12
+
+
+def test_unitarity_gate_rejects_nan_matrix():
+    nan = float("nan")
+    assert math.isnan(unitarity_defect(((nan, 0j), (0j, 1.0 + 0j))))
+    with pytest.raises(NonUnitaryError):
+        make_waveplate(float("inf"), 0.0)
 
 
 def test_inverse_round_trips_matrix():

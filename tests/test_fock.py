@@ -41,6 +41,13 @@ def test_basis_state_rejects_negative_counts():
         BasisState({AX: -1})
 
 
+def test_basis_state_replace_rejects_negative_counts():
+    bs = BasisState({AX: 2, BX: 1})
+    with pytest.raises(ValueError):
+        bs.replace({AX: -1})
+    assert bs.replace({AX: 0, AY: 3}) == BasisState({AY: 3, BX: 1})
+
+
 def test_basis_state_label_and_parse():
     bs = BasisState({AX: 2, BX: 1})
     assert bs.label() == "a.x=2;b.x=1"

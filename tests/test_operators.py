@@ -158,6 +158,16 @@ def test_apply_transform_agrees_with_paths_engine():
         assert max_amplitude_difference(a, b) < 1e-12
 
 
+@pytest.mark.parametrize("engine", [paths, operators])
+@pytest.mark.parametrize("out_modes", [(M1, M2), (M3, M4)])
+def test_apply_transform_ports_are_state_plus_element_ports(engine, out_modes):
+    t = make_split50_rbs(in_modes=(M1, M2), out_modes=out_modes)
+    s = PhotonState({BasisState({M1: 1}): 1.0}, ports=["1", "9"])
+    assert engine.apply_transform(s, t).ports == {"1", "9"} | {
+        m.port for m in t.in_modes + t.out_modes
+    }
+
+
 def test_apply_transform_pair_through_splitter_is_product_state():
     t = make_split50_rbs(in_modes=(M1, M2), out_modes=(M3, M4))
     s = PhotonState(

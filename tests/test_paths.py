@@ -139,6 +139,13 @@ def test_scatter_rejects_non_unitary():
         scatter_two_mode(1, 1, ((0.6 + 0j, 0.8 + 0j), (0.8 + 0j, 0.6 + 0j)))
 
 
+@pytest.mark.parametrize("route", [scatter_two_mode, trace_paths])
+def test_routing_rejects_nan_matrix(route):
+    nan = complex(float("nan"), float("nan"))
+    with pytest.raises(NonUnitaryError):
+        route(1, 0, ((nan, nan), (nan, nan)))
+
+
 def test_scatter_rejects_budget_overrun():
     m = make_split50_rbs().matrix
     with pytest.raises(PhotonBudgetError):
