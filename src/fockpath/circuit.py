@@ -86,10 +86,9 @@ __all__ = [
 
 ENGINE_TOLERANCE = 1e-9
 
-_ENGINES = {
-    "paths": paths.apply_transform,
-    "operators": operators.apply_transform,
-}
+# engine name -> module; ``apply_transform`` is looked up on each run, so a
+# wrapped or patched engine function is the one that runs
+_ENGINES = {"paths": paths, "operators": operators}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _FLOAT_BODY = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -221,10 +220,16 @@ def _kv(line: _Line, key: str) -> tuple[str, int]:
     return value, col + len(key) + 1
 
 
+def _finite(number: float, value: str, line_no: int, col: int) -> float:
+    if not math.isfinite(number):
+        raise ParseError(f"number {value!r} is not finite", line_no, col)
+    return number
+
+
 def _parse_float(value: str, line_no: int, col: int) -> float:
     if not _FLOAT_RE.match(value):
         raise ParseError(f"malformed number {value!r}", line_no, col)
-    return float(value)
+    return _finite(float(value), value, line_no, col)
 
 
 def _parse_int(value: str, line_no: int, col: int) -> int:
@@ -239,7 +244,8 @@ def _parse_cplx(value: str, line_no: int, col: int) -> complex:
         raise ParseError(
             f"malformed complex number {value!r} (expected RE+IMi)", line_no, col
         )
-    return complex(float(m.group(1)), float(m.group(2)))
+    re_part, im_part = (_finite(float(g), value, line_no, col) for g in m.groups())
+    return complex(re_part, im_part)
 
 
 def _declared_port(line: _Line, declared: set[str]) -> tuple[str, int]:
@@ -653,13 +659,26 @@ class RunResult:
     discrepancy: float | None = None
 
 
-def _evolve(state: PhotonState, bound, apply, max_photons: int) -> PhotonState:
+def _evolve(state: PhotonState, bound, engine, max_photons: int) -> PhotonState:
     for transform, line in bound:
         try:
-            state = apply(state, transform, max_photons=max_photons)
+            state = engine.apply_transform(state, transform, max_photons=max_photons)
         except FockPathError as exc:
             raise type(exc)(f"line {line}: {exc}") from exc
     return state
+
+
+def _run_engines(
+    circuit: Circuit, names, max_photons: int | None
+) -> tuple[PhotonState, float | None]:
+    """Evolve the circuit on each named engine; return the first engine's
+    final state and, for two engines, their max amplitude difference."""
+    maxp = DEFAULT_MAX_PHOTONS if max_photons is None else max_photons
+    start = initial_state(circuit, maxp)
+    bound = elaborate(circuit)
+    states = [_evolve(start, bound, _ENGINES[name], maxp) for name in names]
+    discrepancy = max_amplitude_difference(*states) if len(states) == 2 else None
+    return states[0], discrepancy
 
 
 def run_circuit(
@@ -676,18 +695,10 @@ def run_circuit(
     """
     if engine not in ("both", *_ENGINES):
         raise ValueError(f"engine must be one of paths, operators, both; got {engine!r}")
-    maxp = DEFAULT_MAX_PHOTONS if max_photons is None else max_photons
-    start = initial_state(circuit, maxp)
-    bound = elaborate(circuit)
-    discrepancy = None
-    if engine == "both":
-        state = _evolve(start, bound, paths.apply_transform, maxp)
-        other = _evolve(start, bound, operators.apply_transform, maxp)
-        discrepancy = max_amplitude_difference(state, other)
-        if discrepancy > ENGINE_TOLERANCE:
-            raise EngineDisagreementError(discrepancy)
-    else:
-        state = _evolve(start, bound, _ENGINES[engine], maxp)
+    names = tuple(_ENGINES) if engine == "both" else (engine,)
+    state, discrepancy = _run_engines(circuit, names, max_photons)
+    if discrepancy is not None and discrepancy > ENGINE_TOLERANCE:
+        raise EngineDisagreementError(discrepancy)
     distributions = {
         port: number_distribution(state, port) for port in sorted(state.ports)
     }
@@ -698,12 +709,7 @@ def run_circuit(
 
 def cross_check(circuit: Circuit, *, max_photons: int | None = None) -> float:
     """Max amplitude difference between the two engines on this circuit."""
-    maxp = DEFAULT_MAX_PHOTONS if max_photons is None else max_photons
-    start = initial_state(circuit, maxp)
-    bound = elaborate(circuit)
-    a = _evolve(start, bound, paths.apply_transform, maxp)
-    b = _evolve(start, bound, operators.apply_transform, maxp)
-    return max_amplitude_difference(a, b)
+    return _run_engines(circuit, tuple(_ENGINES), max_photons)[1]
 
 
 # ---------------------------------------------------------------------------

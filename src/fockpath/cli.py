@@ -31,7 +31,7 @@ from .errors import (
     PhotonBudgetError,
     TruncationError,
 )
-from .fock import DEFAULT_MAX_PHOTONS, PhotonState
+from .fock import DEFAULT_MAX_PHOTONS, PhotonState, state_to_json_obj
 from .mirror import MirrorGeometry, airy_profile, focal_amplitude_quadrature
 from .paths import trace_paths
 
@@ -69,16 +69,10 @@ def _parse_cli_complex(text: str) -> complex:
 
 
 def _state_rows(state: PhotonState) -> list[dict]:
-    rows = []
-    for basis, amp in state.sorted_terms():
-        rows.append(
-            {
-                "occupancy": {mode.label(): count for mode, count in basis.items()},
-                "re": _round12(amp.real),
-                "im": _round12(amp.imag),
-            }
-        )
-    return rows
+    return [
+        {**row, "re": _round12(row["re"]), "im": _round12(row["im"])}
+        for row in state_to_json_obj(state)
+    ]
 
 
 def _emit(text: str, output: str | None) -> None:

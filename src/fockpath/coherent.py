@@ -64,7 +64,11 @@ def default_truncation(
     gamma: complex, tail_tol: float = TAIL_TOL, cap: int | None = None
 ) -> int:
     """Smallest cutoff whose neglected Poisson tail is below tail_tol."""
-    mean = abs(gamma) ** 2
+    mean = abs(gamma) * abs(gamma)  # inf, not OverflowError, past the float range
+    if not math.isfinite(mean):
+        raise TruncationError(
+            f"coherent source |gamma|={abs(gamma):.6g} has no finite mean photon number"
+        )
     n = 0
     while poisson_tail(mean, n) >= tail_tol:
         n += 1

@@ -30,6 +30,7 @@ __all__ = [
     "UNITARY_TOL",
     "ModeTransform",
     "unitarity_defect",
+    "require_unitary",
     "make_rbs",
     "make_split50_rbs",
     "make_pbs",
@@ -62,6 +63,15 @@ def unitarity_defect(matrix) -> float:
         for j in size
     ]
     return math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
+
+
+def require_unitary(matrix) -> None:
+    """Raise NonUnitaryError unless ``matrix`` is unitary within UNITARY_TOL."""
+    defect = unitarity_defect(matrix)
+    if not defect <= UNITARY_TOL:  # also rejects NaN
+        raise NonUnitaryError(
+            f"element not unitary: defect {defect:.3e} exceeds {UNITARY_TOL:.0e}"
+        )
 
 
 def mat2_mul(a, b) -> Matrix:
@@ -111,11 +121,7 @@ class ModeTransform:
             )
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ModeMismatchError(f"matrix must be {n}x{n}")
-        defect = unitarity_defect(self.matrix)
-        if not defect <= UNITARY_TOL:  # also rejects NaN
-            raise NonUnitaryError(
-                f"element not unitary: defect {defect:.3e} exceeds {UNITARY_TOL:.0e}"
-            )
+        require_unitary(self.matrix)
 
     def inverse(self) -> "ModeTransform":
         """The inverse element: conjugate-transpose matrix, modes swapped."""
@@ -133,7 +139,7 @@ class ModeTransform:
 
 
 def _validate_rbs_coefficients(rho: complex, tau: complex, tol: float = UNITARY_TOL):
-    total = abs(rho) ** 2 + abs(tau) ** 2
+    total = abs(rho) * abs(rho) + abs(tau) * abs(tau)  # inf, not OverflowError
     if abs(total - 1.0) > tol:
         raise EnergyConservationError(
             f"|rho|^2 + |tau|^2 = {total:.12g} must equal 1"

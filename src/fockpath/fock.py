@@ -12,11 +12,12 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
-from .errors import NullStateError, UnknownPortError
+from .errors import NullStateError, PhotonBudgetError, UnknownPortError
 
 __all__ = [
     "DEFAULT_MAX_PHOTONS",
     "PRUNE_EPS",
+    "check_photon_budget",
     "Mode",
     "BasisState",
     "PhotonState",
@@ -37,6 +38,15 @@ DEFAULT_MAX_PHOTONS = 8
 
 # Amplitudes below this magnitude are dropped from superpositions.
 PRUNE_EPS = 1e-14
+
+
+def check_photon_budget(total: int, max_photons: int | None) -> None:
+    """Raise PhotonBudgetError if ``total`` photons exceed ``max_photons``
+    (``None`` sets no bound)."""
+    if max_photons is not None and total > max_photons:
+        raise PhotonBudgetError(
+            f"{total} photons exceed the configured maximum of {max_photons}"
+        )
 
 
 class Mode(NamedTuple):

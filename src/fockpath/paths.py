@@ -19,30 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elements import ModeTransform, unitarity_defect
-from .errors import ModeMismatchError, NonUnitaryError, PhotonBudgetError
-from .fock import DEFAULT_MAX_PHOTONS, BasisState, PhotonState, normalize
+# paths.unitarity_defect stays importable for callers that wrap it (the
+# benchmark tracer counts unitarity checks there).
+from .elements import ModeTransform, require_unitary, unitarity_defect  # noqa: F401
+from .errors import ModeMismatchError
+from .fock import DEFAULT_MAX_PHOTONS, BasisState, PhotonState, check_photon_budget, normalize
 
 __all__ = ["RoutingTrace", "scatter_two_mode", "trace_paths", "apply_transform"]
 
 ENGINE_NAME = "paths"
-
-
-def _require_unitary(matrix, tol: float = 1e-9):
-    defect = unitarity_defect(matrix)
-    if not defect <= tol:  # also rejects NaN
-        raise NonUnitaryError(
-            f"element not unitary: defect {defect:.3e} exceeds {tol:.0e}"
-        )
-
-
-def _check_budget(n1: int, n2: int, max_photons: int | None):
-    if n1 < 0 or n2 < 0:
-        raise ValueError("photon counts must be non-negative")
-    if max_photons is not None and n1 + n2 > max_photons:
-        raise PhotonBudgetError(
-            f"{n1 + n2} photons exceed the configured maximum of {max_photons}"
-        )
 
 
 @dataclass(frozen=True)
@@ -69,6 +54,38 @@ class RoutingTrace:
         )
 
 
+def _routings(n1: int, n2: int, matrix, max_photons: int | None) -> list:
+    """Every photon routing of |n1, n2> through a unitary 2x2 element.
+
+    One ``(ma, bose_factor, routes)`` entry per photon count ma of output
+    mode a, ma ascending.  ``routes`` holds ``(k, multiplicity, powers)``
+    for each merged routing sending k photons from input 1 and ma - k from
+    input 2 to output a; the product of the four matrix-element ``powers``
+    is its bare amplitude.
+    """
+    if n1 < 0 or n2 < 0:
+        raise ValueError("photon counts must be non-negative")
+    check_photon_budget(n1 + n2, max_photons)
+    require_unitary(matrix)
+    (maa, mab), (mba, mbb) = matrix
+    maa, mab, mba, mbb = complex(maa), complex(mab), complex(mba), complex(mbb)
+    n = n1 + n2
+    fact = math.factorial
+    denom = math.sqrt(fact(n1) * fact(n2))
+    table = []
+    for ma in range(n + 1):
+        routes = [
+            (
+                k,
+                math.comb(n1, k) * math.comb(n2, ma - k),
+                (maa**k, mba ** (n1 - k), mab ** (ma - k), mbb ** (n2 - ma + k)),
+            )
+            for k in range(max(0, ma - n2), min(n1, ma) + 1)
+        ]
+        table.append((ma, math.sqrt(fact(ma) * fact(n - ma)) / denom, routes))
+    return table
+
+
 def scatter_two_mode(
     n1: int,
     n2: int,
@@ -81,29 +98,14 @@ def scatter_two_mode(
     Returns the map (ma, mb) -> amplitude over output occupancies; the
     squared amplitudes sum to one.
     """
-    _check_budget(n1, n2, max_photons)
-    _require_unitary(matrix)
-    (maa, mab), (mba, mbb) = matrix
-    maa, mab, mba, mbb = complex(maa), complex(mab), complex(mba), complex(mbb)
-    n = n1 + n2
-    fact = math.factorial
-    denom = math.sqrt(fact(n1) * fact(n2))
     out: dict[tuple[int, int], complex] = {}
-    for ma in range(n + 1):
-        mb = n - ma
+    for ma, bose, routes in _routings(n1, n2, matrix, max_photons):
         acc = 0j
-        for k in range(max(0, ma - n2), min(n1, ma) + 1):
-            acc += (
-                math.comb(n1, k)
-                * math.comb(n2, ma - k)
-                * maa**k
-                * mba ** (n1 - k)
-                * mab ** (ma - k)
-                * mbb ** (n2 - ma + k)
-            )
-        amp = math.sqrt(fact(ma) * fact(mb)) / denom * acc
+        for _, multiplicity, (p1, p2, p3, p4) in routes:
+            acc += multiplicity * p1 * p2 * p3 * p4
+        amp = bose * acc
         if amp != 0:
-            out[(ma, mb)] = amp
+            out[(ma, n1 + n2 - ma)] = amp
     return out
 
 
@@ -120,31 +122,17 @@ def trace_paths(
     amplitude * multiplicity * bose_factor reproduces
     :func:`scatter_two_mode` exactly.
     """
-    _check_budget(n1, n2, max_photons)
-    _require_unitary(matrix)
-    (maa, mab), (mba, mbb) = matrix
-    maa, mab, mba, mbb = complex(maa), complex(mab), complex(mba), complex(mbb)
-    n = n1 + n2
-    fact = math.factorial
-    denom = math.sqrt(fact(n1) * fact(n2))
     traces = []
-    for ma in range(n, -1, -1):
-        mb = n - ma
-        bose = math.sqrt(fact(ma) * fact(mb)) / denom
-        for k in range(max(0, ma - n2), min(n1, ma) + 1):
-            amp = (
-                maa**k
-                * mba ** (n1 - k)
-                * mab ** (ma - k)
-                * mbb ** (n2 - ma + k)
-            )
+    for ma, bose, routes in reversed(_routings(n1, n2, matrix, max_photons)):
+        for k, multiplicity, (p1, p2, p3, p4) in routes:
+            amp = p1 * p2 * p3 * p4
             if amp == 0:  # routing through a dark matrix element
                 continue
             traces.append(
                 RoutingTrace(
                     assignment=((k, n1 - k), (ma - k, n2 - ma + k)),
                     amplitude=amp,
-                    multiplicity=math.comb(n1, k) * math.comb(n2, ma - k),
+                    multiplicity=multiplicity,
                     bose_factor=bose,
                 )
             )
@@ -161,12 +149,7 @@ def _split_term(bs: BasisState, in_modes, blocked, max_photons):
     for mode in blocked:
         if mode in rest:
             raise ModeMismatchError(f"output mode {mode.label()} is already occupied")
-    if max_photons is not None:
-        total = sum(rest.values())
-        if total > max_photons:
-            raise PhotonBudgetError(
-                f"{total} photons exceed the configured maximum of {max_photons}"
-            )
+    check_photon_budget(sum(rest.values()), max_photons)
     return rest, [rest.pop(m, 0) for m in in_modes]
 
 
@@ -182,12 +165,7 @@ def apply_transform(
     Only the element's modes of each term change.  The result is
     normalized.
     """
-    in_set, out_set = set(t.in_modes), set(t.out_modes)
-    if in_set != out_set and in_set & out_set:
-        raise ModeMismatchError(
-            "transform input and output modes must coincide or be disjoint"
-        )
-    blocked = () if in_set == out_set else t.out_modes
+    blocked = () if set(t.in_modes) == set(t.out_modes) else t.out_modes
     new: dict[BasisState, complex] = {}
     if len(t.in_modes) == 1:
         u = t.matrix[0][0]
@@ -207,7 +185,7 @@ def apply_transform(
             rest, (n1, n2) = _split_term(bs, t.in_modes, blocked, max_photons)
             key = (n1, n2)
             if key not in cache:
-                cache[key] = scatter_two_mode(n1, n2, t.matrix, max_photons=n1 + n2)
+                cache[key] = scatter_two_mode(n1, n2, t.matrix, max_photons=None)
             for (ma, mb), s_amp in cache[key].items():
                 nb = BasisState._from_counts({**rest, o1: ma, o2: mb})
                 new[nb] = new.get(nb, 0j) + amp * s_amp

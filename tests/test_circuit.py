@@ -148,6 +148,37 @@ def test_parse_rejects_malformed_number():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "statement, col",
+    [
+        ("waveplate phase=1e400 axis=0 on a", 17),
+        ("waveplate phase=90 axis=-1e400 on a", 25),
+        ("rotpol angle=1e400 on a", 14),
+        ("phase deg=-1e999 on a", 11),
+        ("pbs axis=1e400 a -> b c", 10),
+        ("source a linpol angle=1e400 n=1", 23),
+        ("source a coherent re=1e400 im=0", 22),
+        ("source a coherent re=0 im=-1e400", 27),
+        ("rbs r=1e400+0i t=0+1i a b -> c d", 7),
+        ("rbs r=0.6+0i t=0+1e400i a b -> c d", 16),
+    ],
+)
+def test_parse_rejects_non_finite_literals(statement, col):
+    text = "port a\nport b\nport c\nport d\n" + statement + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_circuit(text)
+    assert (err.value.line, err.value.col) == (5, col)
+    assert "finite" in str(err.value)
+
+
+def test_parse_rejects_overflowing_splitter_coefficients():
+    text = "port a\nport b\nport c\nport d\nrbs r=1e200+0i t=0+1i a b -> c d\n"
+    with pytest.raises(ParseError) as err:
+        parse_circuit(text)
+    assert (err.value.line, err.value.col) == (5, 7)
+    assert "energy conservation" in str(err.value)
+
+
 def test_parse_rejects_partial_port_reuse():
     text = "port a\nport b\nport c\nrbs split=50 a b -> a c\n"
     with pytest.raises(ParseError):
@@ -335,6 +366,13 @@ def test_cross_check_random_circuits_sample():
         text = random_circuit_text(rng, max_photons=4, max_elements=4)
         worst = max(worst, cross_check(parse_circuit(text)))
     assert worst < 1e-10
+
+
+def test_cross_check_is_the_both_engine_discrepancy():
+    rng = random.Random(77)
+    for _ in range(40):
+        circuit = parse_circuit(random_circuit_text(rng, max_photons=4, max_elements=5))
+        assert cross_check(circuit) == run_circuit(circuit).discrepancy
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 
 from fockpath import PhotonState
 from fockpath.cli import main
+import fockpath.cli
 import fockpath.operators
 
 
@@ -113,12 +114,37 @@ def test_run_budget_exit_code(tmp_path, capsys):
     assert "9" in err
 
 
-def test_run_arithmetic_overflow_exits_1(tmp_path, capsys):
+def test_run_arithmetic_overflow_exits_1(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setattr(fockpath.cli, "run_circuit", overflow)
+    code, _, err = run_main(["run", "--demo", "hom"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_run_coherent_overflow_exits_4(tmp_path, capsys):
     f = tmp_path / "huge.fpc"
     f.write_text("port a\nsource a coherent re=1e200 im=0\n")
     code, _, err = run_main(["run", str(f)], capsys)
-    assert code == 1
-    assert err.startswith("error:")
+    assert code == 4
+    assert err.startswith("error:") and "gamma" in err
+
+
+@pytest.mark.parametrize(
+    "statement, where",
+    [
+        ("waveplate phase=1e400 axis=0 on a", "2:17:"),
+        ("source a linpol angle=1e400 n=1", "2:23:"),
+    ],
+)
+def test_run_non_finite_literal_exits_2(tmp_path, capsys, statement, where):
+    f = tmp_path / "inf.fpc"
+    f.write_text("port a\n" + statement + "\n")
+    code, _, err = run_main(["run", str(f)], capsys)
+    assert code == 2
+    assert err.startswith("error: " + where)
 
 
 def test_run_max_photons_flag_lifts_budget(tmp_path, capsys):
@@ -152,7 +178,8 @@ def test_engine_disagreement_exit_code(capsys, monkeypatch):
         return PhotonState(terms, ports=out.ports)
 
     monkeypatch.setattr(fockpath.operators, "apply_transform", skewed)
-    code, _, err = run_main(["run", "--demo", "hom"], capsys)
+    with pytest.warns(RuntimeWarning, match="squared norm"):
+        code, _, err = run_main(["run", "--demo", "hom"], capsys)
     assert code == 3
     assert "disagree" in err
 

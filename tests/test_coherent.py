@@ -72,6 +72,16 @@ def test_default_truncation_cap():
         default_truncation(1.1, cap=8)
 
 
+@pytest.mark.parametrize(
+    "gamma", [complex(math.inf), complex(0, -math.inf), complex(math.nan), 1e200, 1e200j]
+)
+def test_default_truncation_rejects_non_finite_mean(gamma):
+    with pytest.raises(TruncationError):
+        default_truncation(gamma)
+    with pytest.raises(TruncationError):
+        default_truncation(gamma, cap=8)
+
+
 def test_coefficients_vacuum():
     coeffs = coherent_fock_coefficients(CoherentParams(0j, 3))
     assert coeffs == [1.0, 0.0, 0.0, 0.0]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -11,14 +12,18 @@ from fockpath import (
     Mode,
     PhotonState,
     inner_product,
+    make_pbs,
+    make_phase_shifter,
+    make_polarization_rotation,
     make_rbs,
     make_split50_rbs,
+    make_waveplate,
     polynomial_to_state,
     state_to_polynomial,
     substitute_modes,
 )
 from fockpath import operators, paths
-from fockpath.fock import max_amplitude_difference
+from fockpath.fock import max_amplitude_difference, normalize
 
 M1, M2 = Mode("1", "x"), Mode("2", "x")
 M3, M4 = Mode("3", "x"), Mode("4", "x")
@@ -185,3 +190,30 @@ def test_identity_transform_preserves_state():
     )
     out = operators.apply_transform(s, t)
     assert abs(inner_product(out, s) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        make_rbs(0.6, 0.8j, in_modes=(M1, M2), out_modes=(M3, M4)),
+        make_pbs(0.3, in_port="1", transmitted_port="4", reflected_port="3"),
+        make_waveplate(1.1, 0.4, port="1"),
+        make_polarization_rotation(0.7, port="1"),
+        make_phase_shifter(2.0, mode=M1),
+    ],
+    ids=lambda t: t.kind,
+)
+def test_normalized_state_through_each_element_kind_raises_no_warning(t):
+    rng = random.Random(11)
+    a, b = t.in_modes if len(t.in_modes) == 2 else (t.in_modes[0], Mode("9", "x"))
+    terms = {
+        BasisState({a: n1, b: n2}): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for n1 in range(4)
+        for n2 in range(4 - n1)
+    }
+    state = normalize(PhotonState(terms))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = operators.apply_transform(state, t)
+    assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    assert max_amplitude_difference(out, paths.apply_transform(state, t)) < 1e-12

@@ -28,6 +28,7 @@ from fockpath import (
     scatter_two_mode,
     trace_paths,
 )
+from fockpath import operators, paths
 from fockpath.paths import apply_transform
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -228,20 +229,28 @@ def test_apply_transform_untouched_modes_ride_along():
         assert bs.count(spectator) == 2
 
 
-def test_apply_transform_rejects_occupied_output_modes():
+BOTH_ENGINES = pytest.mark.parametrize(
+    "engine", [paths, operators], ids=["paths", "operators"]
+)
+
+
+@BOTH_ENGINES
+def test_apply_transform_rejects_occupied_output_modes(engine):
     t = make_split50_rbs()  # outputs on ports 3 and 4
     s = PhotonState(
         {BasisState({Mode("1", "x"): 1, Mode("3", "x"): 1}): 1.0}
     )
-    with pytest.raises(ModeMismatchError):
-        apply_transform(s, t)
+    with pytest.raises(ModeMismatchError, match="3.x is already occupied"):
+        engine.apply_transform(s, t)
 
 
-def test_apply_transform_budget_check():
+@BOTH_ENGINES
+def test_apply_transform_budget_check(engine):
     t = make_split50_rbs()
     s = PhotonState({BasisState({Mode("1", "x"): 3, Mode("2", "x"): 2}): 1.0})
-    with pytest.raises(PhotonBudgetError):
-        apply_transform(s, t, max_photons=4)
+    with pytest.raises(PhotonBudgetError, match="5 photons exceed the configured maximum of 4"):
+        engine.apply_transform(s, t, max_photons=4)
+    assert len(engine.apply_transform(s, t, max_photons=5)) == 6
 
 
 @settings(max_examples=60)
