@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .elements import _validate_rbs_coefficients
+from .elements import _magnitude, _validate_rbs_coefficients
 from .errors import NullStateError, TruncationError
 from .fock import BasisState, Mode, PhotonState, inner_product, normalize
 
@@ -60,21 +61,36 @@ def poisson_tail(mean: float, n: int) -> float:
     return max(0.0, 1.0 - cdf)
 
 
+def _coherent_magnitude(gamma: complex) -> float:
+    """|gamma|, once |gamma|^2 is known to be a finite mean photon number."""
+    magnitude = _magnitude(gamma)
+    if not math.isfinite(magnitude * magnitude):
+        raise TruncationError(
+            f"coherent source |gamma|={magnitude:.6g} has no finite mean photon number"
+        )
+    return magnitude
+
+
 def default_truncation(
     gamma: complex, tail_tol: float = TAIL_TOL, cap: int | None = None
 ) -> int:
     """Smallest cutoff whose neglected Poisson tail is below tail_tol."""
-    mean = abs(gamma) * abs(gamma)  # inf, not OverflowError, past the float range
-    if not math.isfinite(mean):
+    magnitude = _coherent_magnitude(gamma)
+    mean = magnitude * magnitude
+    # poisson_tail starts from e^{-mean}; once that leaves the normal float
+    # range its terms are too coarse (or all zero) for the tail ever to fall
+    # below tail_tol, and the search below would not end
+    if math.exp(-mean) < sys.float_info.min:
         raise TruncationError(
-            f"coherent source |gamma|={abs(gamma):.6g} has no finite mean photon number"
+            f"coherent source |gamma|={magnitude:.6g} is too bright: "
+            "e^{-|gamma|^2} underflows, so its Poisson tail cannot be resolved"
         )
     n = 0
     while poisson_tail(mean, n) >= tail_tol:
         n += 1
         if cap is not None and n > cap:
             raise TruncationError(
-                f"coherent source |gamma|={abs(gamma):.6g} needs more than "
+                f"coherent source |gamma|={magnitude:.6g} needs more than "
                 f"{cap} Fock terms for tail < {tail_tol:.1e}"
             )
     return n
@@ -83,11 +99,11 @@ def default_truncation(
 def coherent_fock_coefficients(params: CoherentParams) -> list[complex]:
     """Coefficients c_0 .. c_N of the truncated expansion.
 
-    Raises if the truncation leaves more than TAIL_TOL of probability
-    outside the kept terms.
+    Raises if |gamma|^2 is not finite, or if the truncation leaves more than
+    TAIL_TOL of probability outside the kept terms.
     """
     gamma, n_max = params.gamma, params.truncation
-    prefactor = math.exp(-abs(gamma) ** 2 / 2.0)
+    prefactor = math.exp(-_coherent_magnitude(gamma) ** 2 / 2.0)
     coeffs = []
     term = complex(prefactor)
     for n in range(n_max + 1):

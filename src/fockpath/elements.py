@@ -138,8 +138,17 @@ class ModeTransform:
         )
 
 
+def _magnitude(z: complex) -> float:
+    """|z|, or inf where abs() of a complex raises OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _validate_rbs_coefficients(rho: complex, tau: complex, tol: float = UNITARY_TOL):
-    total = abs(rho) * abs(rho) + abs(tau) * abs(tau)  # inf, not OverflowError
+    r, t = _magnitude(rho), _magnitude(tau)
+    total = r * r + t * t  # inf, not OverflowError
     if abs(total - 1.0) > tol:
         raise EnergyConservationError(
             f"|rho|^2 + |tau|^2 = {total:.12g} must equal 1"

@@ -12,6 +12,11 @@ classic Airy pattern
 with A(0) = pi R^2 (the aperture area).  Keeping the next order in the path
 expansion adds the spherical-aberration phase 2 pi rho^4 / (32 lambda f^3).
 
+For an on-axis source every phase term, the aberration included, depends on
+the mirror point only through rho, so the angular integral is J0 in closed
+form and the quadrature is one radial integral, evaluated for all detector
+radii at once.  Only an off-axis source needs the 2-D polar quadrature.
+
 Bessel J0 and J1 are evaluated in-house: an ascending power series up to
 |x| = 12 and the large-argument asymptotic (Hankel) expansion beyond, good
 to about 1e-10 absolute over the real line.
@@ -51,6 +56,9 @@ AIRY_FIRST_ZERO = 3.831705970207512
 _SERIES_CUTOFF = 12.0
 _SERIES_TERMS = 40
 _ASYMPTOTIC_TERMS = 12
+# Most points in one J0 argument array of the radial quadrature, which keeps
+# its peak memory at that of one 256 x 256 polar quadrature grid.
+_MAX_GRID_POINTS = 256 * 256
 
 
 def _bessel_series(x, nu: int):
@@ -284,23 +292,68 @@ def _gauss_nodes(n: int):
     return nodes, weights
 
 
-def _radial_quadrature(rho2: float, geometry: MirrorGeometry, n: int) -> complex:
+def _radial_quadrature(
+    rho2: np.ndarray, geometry: MirrorGeometry, n: int, include_aberration: bool
+) -> np.ndarray:
     """Angular integral done analytically (J0), radial one by Gauss-Legendre.
 
-    Valid when the phase depends on the mirror point only through rho:
-    integral = 2 pi int_0^R J0(k rho rho2 / z2) e^{i k c rho^2} rho d rho
+    Valid when the phase depends on the mirror point only through rho, as it
+    does for an on-axis source:
+    integral = 2 pi int_0^R J0(k rho rho2 / z2) e^{i k (c rho^2 + a rho^4)} rho d rho
     where c collects the residual quadratic (defocus) phase, which vanishes
-    at the imaging condition and leaves the plain Airy integral.
+    at the imaging condition and leaves the plain Airy integral, and a rho^4
+    is the spherical-aberration term (zero unless include_aberration).
+    Evaluated for every detector radius in rho2 at once.
     """
     nodes, weights = _gauss_nodes(n)
     radius = geometry.aperture_radius
     rho = 0.5 * radius * (nodes + 1.0)
     w = 0.5 * radius * weights
     k = 2.0 * math.pi / geometry.wavelength
-    beta = k * rho2 / geometry.z2
-    defocus = 0.5 * (1.0 / geometry.z1 + 1.0 / geometry.z2) - 2.0 * geometry.alpha
-    vals = bessel_j0(beta * rho) * np.exp(1j * k * defocus * rho * rho) * rho
-    return complex(2.0 * math.pi * np.sum(w * vals))
+    mean_inv_z = 0.5 * (1.0 / geometry.z1 + 1.0 / geometry.z2)
+    phase = (mean_inv_z - 2.0 * geometry.alpha) * rho * rho
+    if include_aberration:
+        sag = geometry.alpha * rho * rho
+        phase = phase + mean_inv_z * sag * sag
+    radial = 2.0 * math.pi * w * np.exp(1j * k * phase) * rho
+    beta = k * np.asarray(rho2, dtype=float) / geometry.z2
+    out = np.empty(beta.shape, dtype=complex)
+    step = max(1, _MAX_GRID_POINTS // n)
+    for i in range(0, beta.size, step):
+        out[i : i + step] = bessel_j0(np.multiply.outer(beta[i : i + step], rho)) @ radial
+    return out
+
+
+def _settled(coarse, fine, n: int, geometry: MirrorGeometry) -> np.ndarray:
+    """The fine (2n-node) values, once each agrees with its n-node value.
+
+    Raises ConvergenceError for the first value whose change exceeds 1e-8
+    of max(|fine|, pi R^2); NaN never counts as settled.
+    """
+    coarse, fine = np.atleast_1d(coarse), np.atleast_1d(fine)
+    delta = np.abs(fine - coarse)
+    scale = np.maximum(np.abs(fine), math.pi * geometry.aperture_radius**2)
+    unsettled = np.flatnonzero(~(delta <= 1e-8 * scale))
+    if unsettled.size:
+        i = unsettled[0]
+        raise ConvergenceError(
+            f"quadrature not settled at {n} nodes: "
+            f"|delta| = {delta[i]:.3e} against scale {scale[i]:.3e}"
+        )
+    return fine
+
+
+def _on_axis_amplitudes(
+    rho2: np.ndarray,
+    geometry: MirrorGeometry,
+    include_aberration: bool,
+    nodes: int | None = None,
+) -> np.ndarray:
+    """Settled radial quadrature at every detector radius in rho2."""
+    n = 256 if nodes is None else nodes
+    coarse = _radial_quadrature(rho2, geometry, n, include_aberration)
+    fine = _radial_quadrature(rho2, geometry, 2 * n, include_aberration)
+    return _settled(coarse, fine, n, geometry)
 
 
 def _polar_quadrature(
@@ -352,23 +405,13 @@ def focal_amplitude_quadrature(
     verified by doubling the node count; failure to settle below 1e-8
     relative raises ConvergenceError.
     """
-    on_axis_source = geometry.source == (0.0, 0.0)
-    if not include_aberration and on_axis_source:
-        n = 256 if nodes is None else nodes
-        rho2 = math.hypot(*point)
-        coarse = _radial_quadrature(rho2, geometry, n)
-        fine = _radial_quadrature(rho2, geometry, 2 * n)
-    else:
-        n = 128 if nodes is None else nodes
-        coarse = _polar_quadrature(point, geometry, n, include_aberration)
-        fine = _polar_quadrature(point, geometry, 2 * n, include_aberration)
-    scale = max(abs(fine), math.pi * geometry.aperture_radius**2)
-    if abs(fine - coarse) > 1e-8 * scale:
-        raise ConvergenceError(
-            f"quadrature not settled at {n} nodes: "
-            f"|delta| = {abs(fine - coarse):.3e} against scale {scale:.3e}"
-        )
-    return fine
+    if geometry.source == (0.0, 0.0):
+        rho2 = [math.hypot(*point)]
+        return complex(_on_axis_amplitudes(rho2, geometry, include_aberration, nodes)[0])
+    n = 128 if nodes is None else nodes
+    coarse = _polar_quadrature(point, geometry, n, include_aberration)
+    fine = _polar_quadrature(point, geometry, 2 * n, include_aberration)
+    return complex(_settled(coarse, fine, n, geometry)[0])
 
 
 def airy_profile(
@@ -385,13 +428,12 @@ def airy_profile(
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if geometry.source != (0.0, 0.0):
+        raise ValueError("a radial profile needs an on-axis source")
     if r_max is None:
         r_max = 3.0 * airy_first_zero_radius(geometry)
-    out = []
-    for i in range(n_samples):
-        r = r_max * i / (n_samples - 1)
-        amp = focal_amplitude_quadrature(
-            (r, 0.0), geometry, include_aberration=include_aberration
-        )
-        out.append(FieldSample(position=r, amplitude=amp))
-    return out
+    radii = r_max * np.arange(n_samples) / (n_samples - 1)
+    amps = _on_axis_amplitudes(radii, geometry, include_aberration)
+    return [
+        FieldSample(position=float(r), amplitude=complex(a)) for r, a in zip(radii, amps)
+    ]

@@ -172,11 +172,13 @@ def test_parse_rejects_non_finite_literals(statement, col):
 
 
 def test_parse_rejects_overflowing_splitter_coefficients():
-    text = "port a\nport b\nport c\nport d\nrbs r=1e200+0i t=0+1i a b -> c d\n"
-    with pytest.raises(ParseError) as err:
-        parse_circuit(text)
-    assert (err.value.line, err.value.col) == (5, 7)
-    assert "energy conservation" in str(err.value)
+    # |r|^2 overflows for the first; abs(r) itself overflows for the second
+    for r in ("1e200+0i", "1.7e308+1.7e308i"):
+        text = f"port a\nport b\nport c\nport d\nrbs r={r} t=0+1i a b -> c d\n"
+        with pytest.raises(ParseError) as err:
+            parse_circuit(text)
+        assert (err.value.line, err.value.col) == (5, 7)
+        assert "energy conservation" in str(err.value)
 
 
 def test_parse_rejects_partial_port_reuse():

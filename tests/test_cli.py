@@ -147,6 +147,14 @@ def test_run_non_finite_literal_exits_2(tmp_path, capsys, statement, where):
     assert err.startswith("error: " + where)
 
 
+def test_run_overflowing_splitter_exits_2(tmp_path, capsys):
+    f = tmp_path / "huge.fpc"
+    f.write_text("port a\nport b\nport c\nport d\nrbs r=1.7e308+1.7e308i t=0+1i a b -> c d\n")
+    code, _, err = run_main(["run", str(f)], capsys)
+    assert code == 2
+    assert err.startswith("error: 5:7:") and "energy conservation" in err
+
+
 def test_run_max_photons_flag_lifts_budget(tmp_path, capsys):
     f = tmp_path / "big.fpc"
     f.write_text("port a\nsource a fock 9 pol x\n")

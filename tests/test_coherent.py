@@ -73,13 +73,34 @@ def test_default_truncation_cap():
 
 
 @pytest.mark.parametrize(
-    "gamma", [complex(math.inf), complex(0, -math.inf), complex(math.nan), 1e200, 1e200j]
+    "gamma",
+    [
+        complex(math.inf),
+        complex(0, -math.inf),
+        complex(math.nan),
+        1e200,
+        1e200j,
+        complex(1.7e308, 1.7e308),
+    ],
 )
 def test_default_truncation_rejects_non_finite_mean(gamma):
     with pytest.raises(TruncationError):
         default_truncation(gamma)
     with pytest.raises(TruncationError):
         default_truncation(gamma, cap=8)
+
+
+def test_default_truncation_rejects_underflowing_tail():
+    # e^{-900} underflows, so no cutoff's Poisson tail can be resolved
+    assert default_truncation(20) == 534
+    with pytest.raises(TruncationError):
+        default_truncation(30)
+
+
+def test_coefficients_reject_non_finite_mean():
+    for gamma in (1e200, complex(1.7e308, 1.7e308), complex(math.nan)):
+        with pytest.raises(TruncationError):
+            coherent_fock_coefficients(CoherentParams(gamma, 3))
 
 
 def test_coefficients_vacuum():

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from fockpath import mirror
 from fockpath import (
     AIRY_FIRST_ZERO,
     ConvergenceError,
@@ -328,8 +329,25 @@ def test_quadrature_node_doubling_is_stable():
 def test_quadrature_flags_non_convergence():
     g = desk_geometry()
     r0 = airy_first_zero_radius(g)
-    with pytest.raises(ConvergenceError):
-        focal_amplitude_quadrature((3.0 * r0, 0.0), g, nodes=2)
+    for aberration in (False, True):
+        with pytest.raises(ConvergenceError):
+            focal_amplitude_quadrature(
+                (3.0 * r0, 0.0), g, include_aberration=aberration, nodes=2
+            )
+
+
+@pytest.mark.parametrize("source", [(0.0, 0.0), (1e-6, 0.0)])
+def test_quadrature_never_settles_on_nan(source):
+    g = MirrorGeometry(
+        focal_length=0.2,
+        aperture_radius=math.inf,
+        wavelength=0.5e-6,
+        z1=0.4,
+        z2=0.4,
+        source=source,
+    )
+    with pytest.raises(ConvergenceError), np.errstate(invalid="ignore"):
+        focal_amplitude_quadrature((0.0, 0.0), g)
 
 
 def test_quadrature_rotational_symmetry():
@@ -382,6 +400,27 @@ def test_aberration_reduces_on_axis_peak_slightly():
     assert 0.001 < deficit < 0.02
 
 
+def test_on_axis_aberration_matches_polar_quadrature():
+    g = desk_geometry()
+    area = math.pi * g.aperture_radius**2
+    r0 = airy_first_zero_radius(g)
+    for frac in np.linspace(0.0, 3.0, 25):
+        got = focal_amplitude_quadrature((frac * r0, 0.0), g, include_aberration=True)
+        want = mirror._polar_quadrature((frac * r0, 0.0), g, 256, True)
+        assert abs(got - want) < 1e-12 * area, frac
+
+
+def test_polar_quadrature_only_for_off_axis_sources(monkeypatch):
+    def polar(*args, **kwargs):
+        raise AssertionError("polar quadrature used for an on-axis source")
+
+    monkeypatch.setattr(mirror, "_polar_quadrature", polar)
+    g = desk_geometry()
+    for aberration in (False, True):
+        focal_amplitude_quadrature((1e-6, 2e-6), g, include_aberration=aberration)
+        airy_profile(g, n_samples=3, include_aberration=aberration)
+
+
 # --- profile -------------------------------------------------------------------
 
 
@@ -408,3 +447,29 @@ def test_profile_needs_two_samples():
     g = desk_geometry()
     with pytest.raises(ValueError):
         airy_profile(g, n_samples=1)
+
+
+@pytest.mark.parametrize("aberration", [False, True])
+def test_profile_matches_pointwise_quadrature(aberration):
+    # 300 samples span three chunks of the fine (512-node) radial pass
+    g = desk_geometry()
+    area = math.pi * g.aperture_radius**2
+    samples = airy_profile(g, n_samples=300, include_aberration=aberration)
+    for s in samples:
+        want = focal_amplitude_quadrature(
+            (s.position, 0.0), g, include_aberration=aberration
+        )
+        assert abs(s.amplitude - want) < 1e-14 * area, s.position
+
+
+def test_profile_needs_on_axis_source():
+    g = MirrorGeometry(
+        focal_length=0.2,
+        aperture_radius=0.01,
+        wavelength=0.5e-6,
+        z1=0.4,
+        z2=0.4,
+        source=(8e-6, 0.0),
+    )
+    with pytest.raises(ValueError):
+        airy_profile(g, n_samples=5)
