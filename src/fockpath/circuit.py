@@ -52,6 +52,7 @@ from .errors import (
 )
 from .fock import (
     DEFAULT_MAX_PHOTONS,
+    MAX_TERMS,
     BasisState,
     Mode,
     PhotonState,
@@ -644,11 +645,8 @@ def initial_state(circuit: Circuit, max_photons: int = DEFAULT_MAX_PHOTONS) -> P
             f"maximum of {max_photons}"
         )
     states = [make_source(s.spec, s.port, max_photons=max_photons) for s in circuit.sources]
-    if states:
-        state = tensor_product(*states)
-    else:
-        state = PhotonState.vacuum()
-    return PhotonState(state.terms, ports=set(state.ports) | set(circuit.ports))
+    # the vacuum factor declares every circuit port on the product
+    return tensor_product(PhotonState.vacuum(circuit.ports), *states)
 
 
 @dataclass(frozen=True)
@@ -665,6 +663,11 @@ def _evolve(state: PhotonState, bound, engine, max_photons: int) -> PhotonState:
             state = engine.apply_transform(state, transform, max_photons=max_photons)
         except FockPathError as exc:
             raise type(exc)(f"line {line}: {exc}") from exc
+        if len(state) > MAX_TERMS:
+            raise PhotonBudgetError(
+                f"line {line}: the state has {len(state)} terms, more than the "
+                f"maximum of {MAX_TERMS}"
+            )
     return state
 
 

@@ -1,9 +1,10 @@
 """Command-line front end: circuit runs, path traces, Airy export, checks.
 
 Exit codes: 0 success, 2 parse error (message carries line:col), 3 engine
-disagreement, 4 photon budget or truncation failure, 1 anything else.
-Output is deterministic for fixed inputs and flags; files are written in
-one shot after all computation succeeds, so failures leave no partial file.
+disagreement, 4 photon budget, state size or truncation failure, 1 anything
+else.  Output is deterministic for fixed inputs and flags; files are
+written in one shot after all computation succeeds, so failures leave no
+partial file.
 """
 
 from __future__ import annotations

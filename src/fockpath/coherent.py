@@ -48,12 +48,23 @@ class CoherentParams:
 
 
 def poisson_tail(mean: float, n: int) -> float:
-    """P(X > n) for X ~ Poisson(mean), accumulated stably."""
+    """P(X > n) for X ~ Poisson(mean), accumulated stably.
+
+    Raises TruncationError once e^-mean underflows (mean above about 708),
+    where the sum can no longer resolve the tail.
+    """
     if mean < 0:
         raise ValueError("mean must be non-negative")
     if mean == 0.0:
         return 0.0
     term = math.exp(-mean)
+    # once e^{-mean} leaves the normal float range the terms are too coarse
+    # (or all zero) to resolve the tail: the sum would read 1 - 0 = 1
+    if not term >= sys.float_info.min:
+        raise TruncationError(
+            f"Poisson mean {mean:.6g} is too large: e^-mean underflows, "
+            "so its tail cannot be resolved"
+        )
     cdf = term
     for k in range(1, n + 1):
         term *= mean / k
@@ -77,14 +88,6 @@ def default_truncation(
     """Smallest cutoff whose neglected Poisson tail is below tail_tol."""
     magnitude = _coherent_magnitude(gamma)
     mean = magnitude * magnitude
-    # poisson_tail starts from e^{-mean}; once that leaves the normal float
-    # range its terms are too coarse (or all zero) for the tail ever to fall
-    # below tail_tol, and the search below would not end
-    if math.exp(-mean) < sys.float_info.min:
-        raise TruncationError(
-            f"coherent source |gamma|={magnitude:.6g} is too bright: "
-            "e^{-|gamma|^2} underflows, so its Poisson tail cannot be resolved"
-        )
     n = 0
     while poisson_tail(mean, n) >= tail_tol:
         n += 1

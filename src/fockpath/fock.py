@@ -1,23 +1,30 @@
 """Photon-number states over labeled optical modes.
 
 A mode is a spatial port paired with a polarization axis.  States are sparse
-superpositions of Fock basis states with complex amplitudes, kept in
-canonical (sorted, zero-free) form so that insertion order never matters.
+superpositions of Fock basis states with complex amplitudes.  A state keeps a
+slot table, a tuple of modes, and keys each amplitude by the tuple of photon
+counts in those slots; the evolution engines read and write these count
+tuples directly.  :class:`BasisState`, the public key type, is built only
+where terms leave a state (``terms``, iteration, ``sorted_terms``, JSON), so
+neither the slot order nor the order of construction ever shows.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
-from .errors import NullStateError, PhotonBudgetError, UnknownPortError
+from .errors import ModeMismatchError, NullStateError, PhotonBudgetError, UnknownPortError
 
 __all__ = [
     "DEFAULT_MAX_PHOTONS",
+    "MAX_TERMS",
     "PRUNE_EPS",
     "check_photon_budget",
+    "element_slots",
     "Mode",
     "BasisState",
     "PhotonState",
@@ -35,6 +42,10 @@ __all__ = [
 
 # Photon budget applied where photons enter the system (sources, scattering).
 DEFAULT_MAX_PHOTONS = 8
+
+# Most terms a state may reach during a circuit run before the run fails
+# fast (20,000 is well above every corpus circuit and benchmark workload).
+MAX_TERMS = 20_000
 
 # Amplitudes below this magnitude are dropped from superpositions.
 PRUNE_EPS = 1e-14
@@ -66,6 +77,11 @@ class Mode(NamedTuple):
         return cls(port, pol)
 
 
+# a slot table, and a key over one: the photon count in each slot
+Slots = tuple[Mode, ...]
+Counts = tuple[int, ...]
+
+
 def _checked_count(mode, n) -> tuple[Mode, int]:
     if not isinstance(mode, Mode):
         mode = Mode(*mode)
@@ -80,9 +96,8 @@ class BasisState:
 
     Counts are non-negative; zero counts are dropped, and modes are kept
     sorted by (port, pol), so two occupancies built in any order compare
-    equal.  Instances are immutable and hashable.  The same canonical
-    structure doubles as the exponent vector of a creation-operator
-    monomial in the operator engine.
+    equal.  Instances are immutable and hashable.  This is the public key
+    of state amplitudes and of creation-polynomial coefficients.
     """
 
     __slots__ = ("_items", "_hash")
@@ -100,16 +115,6 @@ class BasisState:
                 acc[mode] = acc.get(mode, 0) + n
         self._items = tuple(sorted(acc.items()))
         self._hash = hash(self._items)
-
-    @classmethod
-    def _from_counts(cls, counts: dict[Mode, int]) -> "BasisState":
-        """Trusted constructor for this module and the engines: ``counts``
-        must map :class:`Mode` instances to ints >= 0 (zeros are dropped).
-        Nothing checks that; ``__init__`` is bypassed."""
-        bs = object.__new__(cls)
-        bs._items = tuple(sorted([kv for kv in counts.items() if kv[1]]))
-        bs._hash = hash(bs._items)
-        return bs
 
     def items(self) -> tuple[tuple[Mode, int], ...]:
         return self._items
@@ -133,18 +138,11 @@ class BasisState:
 
     def replace(self, changes: Mapping[Mode, int]) -> "BasisState":
         """Return a copy with the given mode counts overwritten (0 removes)."""
-        occ = dict(self._items)
-        for mode, n in changes.items():
-            mode, n = _checked_count(mode, n)
-            occ[mode] = n
-        return BasisState._from_counts(occ)
+        return BasisState({**dict(self._items), **changes})
 
     def combine(self, other: "BasisState") -> "BasisState":
-        """Mode-wise sum of two occupancies (used as monomial product)."""
-        occ = dict(self._items)
-        for mode, n in other._items:
-            occ[mode] = occ.get(mode, 0) + n
-        return BasisState._from_counts(occ)
+        """Mode-wise sum of two occupancies."""
+        return BasisState(self._items + other._items)
 
     def label(self) -> str:
         if not self._items:
@@ -164,7 +162,93 @@ class BasisState:
         return f"BasisState({self.label()})"
 
 
-class PhotonState:
+class _SlotTerms:
+    """Values keyed by count tuples over a slot table.
+
+    The representation behind :class:`PhotonState` and the operator
+    engine's ``CreationPolynomial``.  ``_slots`` is a tuple of distinct
+    modes and each key of ``_terms`` is the tuple of photon counts in those
+    slots; a slot may be empty in every key.  Only ``terms`` and
+    ``_lookup`` convert to and from :class:`BasisState` keys.
+    """
+
+    __slots__ = ("_slots", "_terms")
+
+    def _set_basis_terms(self, terms: Mapping[BasisState, object]) -> None:
+        """Key ``terms`` by count tuples over the sorted modes they occupy."""
+        slots = tuple(sorted({m for bs in terms for m, _ in bs.items()}))
+        index = {m: i for i, m in enumerate(slots)}
+        self._slots, self._terms = slots, {}
+        for bs, value in terms.items():
+            counts = [0] * len(slots)
+            for m, n in bs.items():
+                counts[index[m]] = n
+            self._terms[tuple(counts)] = value
+
+    @classmethod
+    def _trusted(cls, slots: Slots, terms: dict) -> "_SlotTerms":
+        """Constructor that checks nothing: ``terms`` must be keyed by count
+        tuples over ``slots``."""
+        obj = object.__new__(cls)
+        obj._slots, obj._terms = slots, terms
+        return obj
+
+    @property
+    def terms(self) -> dict[BasisState, complex]:
+        return {BasisState(zip(self._slots, k)): v for k, v in self._terms.items()}
+
+    def _lookup(self, key: BasisState | Mapping[Mode, int]) -> complex:
+        if not isinstance(key, BasisState):
+            key = BasisState(key)
+        counts = [0] * len(self._slots)
+        for m, n in key.items():
+            if m not in self._slots:  # then no key over the slots equals it
+                return 0j
+            counts[self._slots.index(m)] = n
+        return self._terms.get(tuple(counts), 0j)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+
+def element_slots(
+    slots: Slots,
+    terms: Mapping[Counts, complex],
+    in_modes: Sequence[Mode],
+    out_modes: Sequence[Mode],
+) -> tuple[Slots, Mapping[Counts, complex], Counts, Counts]:
+    """Slot table after an element, and where the element reads and writes.
+
+    Returns ``(table, terms, ins, outs)``.  An input mode missing from
+    ``slots`` first gets a zero slot, and ``terms`` comes back keyed over
+    the widened table.  The element reads ``in_modes[k]`` at slot ``ins[k]``
+    of those keys and writes ``out_modes[k]`` at slot ``outs[k]`` of keys
+    over ``table``; both index the same set of slots.  The output modes of
+    a rerouting element (disjoint from its inputs) take over its input
+    modes' slots, so ``outs == ins``.  An output mode that already has a
+    slot must be empty in every key, or ModeMismatchError is raised; its
+    slot passes to the input mode it replaces, which is now empty.
+    """
+    fresh = tuple(m for m in in_modes if m not in slots)
+    if fresh:
+        slots += fresh
+        zeros = (0,) * len(fresh)
+        terms = {k + zeros: v for k, v in terms.items()}
+    ins = tuple(map(slots.index, in_modes))
+    if set(in_modes) == set(out_modes):
+        return slots, terms, ins, tuple(map(slots.index, out_modes))
+    table = list(slots)
+    for m_in, m_out, i in zip(in_modes, out_modes, ins):
+        if m_out in slots:
+            j = slots.index(m_out)
+            if any(k[j] for k in terms):
+                raise ModeMismatchError(f"output mode {m_out.label()} is already occupied")
+            table[j] = m_in
+        table[i] = m_out
+    return tuple(table), terms, ins, ins
+
+
+class PhotonState(_SlotTerms):
     """Sparse superposition of Fock basis states.
 
     ``terms`` maps each :class:`BasisState` to a complex amplitude.  The
@@ -173,9 +257,12 @@ class PhotonState:
     mentioned by any term plus any explicitly declared ones, which lets
     marginals reject typo'd port labels while an undeclared vacuum stays
     permissive.
+
+    The engines read ``_slots`` and ``_terms`` (see :class:`_SlotTerms`)
+    and build their results with :meth:`_from_slots`.
     """
 
-    __slots__ = ("_terms", "_ports")
+    __slots__ = ("_ports",)
 
     def __init__(
         self,
@@ -195,28 +282,21 @@ class PhotonState:
             acc[bs] = acc.get(bs, 0j) + amp
         if prune is not None:
             acc = {bs: a for bs, a in acc.items() if abs(a) >= prune}
-        self._terms = acc
-        universe = set(ports)
-        for bs in acc:
-            universe.update(m.port for m in bs.modes)
-        self._ports = frozenset(universe)
+        self._set_basis_terms(acc)
+        self._ports = frozenset(ports).union(m.port for m in self._slots)
 
     @classmethod
-    def _from_terms(cls, terms: dict, ports: frozenset[str]) -> "PhotonState":
+    def _from_slots(
+        cls, slots: Slots, terms: Mapping[Counts, complex], ports: Iterable[str]
+    ) -> "PhotonState":
         """Trusted constructor for this module and the engines: ``terms``
-        maps BasisStates whose modes all lie on ``ports`` to complex
-        amplitudes.  ``__init__`` is bypassed and the ports are not
-        rescanned; non-finite amplitudes still raise and small ones are
-        pruned."""
-        kept: dict[BasisState, complex] = {}
-        for bs, amp in terms.items():
-            mag = abs(amp)
-            if not mag < math.inf:  # inf or nan in either part
-                raise ValueError(f"non-finite amplitude for {bs.label()}")
-            if mag >= PRUNE_EPS:
-                kept[bs] = amp
-        state = object.__new__(cls)
-        state._terms = kept
+        maps count tuples over ``slots`` to complex amplitudes, and ``ports``
+        holds the port of every occupied slot.  Non-finite amplitudes raise
+        ValueError; amplitudes below PRUNE_EPS are dropped."""
+        if not all(map(cmath.isfinite, terms.values())):
+            key = next(k for k, a in terms.items() if not cmath.isfinite(a))
+            raise ValueError(f"non-finite amplitude for {BasisState(zip(slots, key)).label()}")
+        state = cls._trusted(slots, {k: a for k, a in terms.items() if abs(a) >= PRUNE_EPS})
         state._ports = frozenset(ports)
         return state
 
@@ -232,29 +312,20 @@ class PhotonState:
         return cls({BasisState(occupancy): 1.0 + 0j}, ports=ports)
 
     @property
-    def terms(self) -> dict[BasisState, complex]:
-        return dict(self._terms)
-
-    @property
     def ports(self) -> frozenset[str]:
         return self._ports
 
     def amplitude(self, key: BasisState | Mapping[Mode, int]) -> complex:
-        if not isinstance(key, BasisState):
-            key = BasisState(key)
-        return self._terms.get(key, 0j)
+        return self._lookup(key)
 
     def norm_squared(self) -> float:
-        return math.fsum(abs(a) ** 2 for a in self._terms.values())
+        return math.fsum([abs(a) ** 2 for a in self._terms.values()])
 
     def sorted_terms(self) -> list[tuple[BasisState, complex]]:
-        return sorted(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
+        return sorted(self.terms.items())
 
     def __iter__(self):
-        return iter(self._terms.items())
+        return iter(self.terms.items())
 
     def __repr__(self) -> str:
         parts = [f"{a:.4g}*{bs.label()}" for bs, a in self.sorted_terms()[:4]]
@@ -268,7 +339,9 @@ def normalize(state: PhotonState) -> PhotonState:
     if n2 <= 0.0:
         raise NullStateError("cannot normalize a null state")
     scale = 1.0 / math.sqrt(n2)
-    return PhotonState._from_terms({bs: a * scale for bs, a in state}, state.ports)
+    return PhotonState._from_slots(
+        state._slots, {k: a * scale for k, a in state._terms.items()}, state.ports
+    )
 
 
 def inner_product(a: PhotonState, b: PhotonState) -> complex:
@@ -303,9 +376,10 @@ def number_distribution(state: PhotonState, ports) -> dict:
     sorted first).  Unlisted ports are traced out.
     """
     names, single = _port_list(state, ports)
+    groups = [[i for i, m in enumerate(state._slots) if m.port == p] for p in names]
     dist: dict = {}
-    for bs, amp in state:
-        key = tuple(bs.port_total(p) for p in names)
+    for counts, amp in state._terms.items():
+        key = tuple(sum([counts[i] for i in g]) for g in groups)
         if single:
             key = key[0]
         dist[key] = dist.get(key, 0.0) + abs(amp) ** 2
@@ -320,32 +394,31 @@ def expected_photon_number(state: PhotonState, port: str) -> float:
 
 def max_amplitude_difference(a: PhotonState, b: PhotonState) -> float:
     """Largest |amplitude difference| over the union of both supports."""
-    keys = set(a.terms) | set(b.terms)
+    if a._slots == b._slots:
+        ta, tb = a._terms, b._terms
+    else:
+        ta, tb = a.terms, b.terms
+    keys = ta.keys() | tb.keys()
     if not keys:
         return 0.0
-    return max(abs(a.amplitude(k) - b.amplitude(k)) for k in keys)
+    return max(abs(ta.get(k, 0j) - tb.get(k, 0j)) for k in keys)
 
 
 def tensor_product(*states: PhotonState) -> PhotonState:
     """Combine states living on disjoint mode sets into one."""
-    if not states:
-        return PhotonState.vacuum()
-    seen: set[Mode] = set()
+    slots: Slots = ()
+    terms = {(): 1.0 + 0j}
     for st in states:
-        modes = {m for bs, _ in st for m in bs.modes}
-        if modes & seen:
-            overlap = sorted(m.label() for m in modes & seen)
+        keep = [i for i, column in enumerate(zip(*st._terms)) if any(column)]
+        occupied = tuple(st._slots[i] for i in keep)
+        overlap = sorted(m.label() for m in set(slots) & set(occupied))
+        if overlap:
             raise ValueError(f"tensor product requires disjoint modes, got {overlap}")
-        seen |= modes
-    terms = {BasisState(): 1.0 + 0j}
-    for st in states:
-        nxt: dict[BasisState, complex] = {}
-        for bs, amp in terms.items():
-            for bs2, amp2 in st:
-                nxt[bs.combine(bs2)] = amp * amp2
-        terms = nxt
+        part = {tuple(k[i] for i in keep): amp for k, amp in st._terms.items()}
+        slots += occupied
+        terms = {k + k2: amp * amp2 for k, amp in terms.items() for k2, amp2 in part.items()}
     ports = frozenset().union(*(st.ports for st in states))
-    return PhotonState(terms, ports=ports)
+    return PhotonState._from_slots(slots, terms, ports)
 
 
 def state_to_json_obj(state: PhotonState) -> list[dict]:

@@ -7,20 +7,29 @@ multiplication, and the result is read back into Fock amplitudes.  This is
 an independent derivation of the same physics as the path-sum engine, which
 is why comparing the two is a meaningful correctness check.
 
-Exponent vectors of monomials reuse :class:`fockpath.fock.BasisState`: a
-monomial prod_m (a_m^dag)^{e_m} is keyed by its exponent occupancy.
+Monomials are keyed like state terms: a monomial prod_m (a_m^dag)^{e_m} is
+the tuple of its exponents over a slot table of modes (see
+:func:`fockpath.fock.element_slots`), and :class:`fockpath.fock.BasisState`
+is its public key.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from operator import add
 
 from .elements import ModeTransform
-from .errors import ModeMismatchError
-from .fock import BasisState, Mode, PhotonState, check_photon_budget, normalize
+from .fock import (
+    BasisState,
+    Mode,
+    PhotonState,
+    _SlotTerms,
+    check_photon_budget,
+    element_slots,
+    normalize,
+)
 
 __all__ = [
     "CreationPolynomial",
@@ -32,32 +41,39 @@ __all__ = [
 
 ENGINE_NAME = "operators"
 
-_CM = Mapping[BasisState, complex]
+_Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CreationPolynomial:
-    """Polynomial in creation operators, applied to the vacuum."""
+class CreationPolynomial(_SlotTerms):
+    """Polynomial in creation operators, applied to the vacuum.
 
-    terms: dict[BasisState, complex] = field(default_factory=dict)
+    ``terms`` maps each monomial's exponent occupancy to its coefficient.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        terms: Mapping[BasisState, complex] | Iterable[tuple[BasisState, complex]] = (),
+    ):
+        self._set_basis_terms(dict(terms))
 
     def coefficient(self, key: BasisState | Mapping[Mode, int]) -> complex:
-        if not isinstance(key, BasisState):
-            key = BasisState(key)
-        return self.terms.get(key, 0j)
+        return self._lookup(key)
 
-    def __len__(self) -> int:
-        return len(self.terms)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CreationPolynomial) and self.terms == other.terms
 
-
-def _factorial_product(bs: BasisState) -> int:
-    return math.prod(math.factorial(n) for _, n in bs.items())
+    def __repr__(self) -> str:
+        return f"CreationPolynomial(terms={self.terms!r})"
 
 
 def state_to_polynomial(state: PhotonState) -> CreationPolynomial:
     """Coefficient of each monomial is amplitude / sqrt(prod m!)."""
-    return CreationPolynomial(
-        {bs: amp / math.sqrt(_factorial_product(bs)) for bs, amp in state}
+    # math.factorial serves small counts from CPython's built-in table
+    return CreationPolynomial._trusted(
+        state._slots,
+        {k: a / math.sqrt(math.prod(map(math.factorial, k))) for k, a in state._terms.items()},
     )
 
 
@@ -74,9 +90,11 @@ def polynomial_to_state(
     reported as a RuntimeWarning.  The ports of the result are ``ports``
     plus every port a monomial mentions.
     """
-    terms = {bs: c * math.sqrt(_factorial_product(bs)) for bs, c in poly.terms.items()}
-    universe = frozenset(ports).union(m.port for bs in terms for m, _ in bs.items())
-    state = PhotonState._from_terms(terms, universe)
+    slots = poly._slots
+    terms = {k: c * math.sqrt(math.prod(map(math.factorial, k))) for k, c in poly._terms.items()}
+    occupied = (m for m, column in zip(slots, zip(*terms)) if any(column))
+    universe = frozenset(ports).union(m.port for m in occupied)
+    state = PhotonState._from_slots(slots, terms, universe)
     n2 = state.norm_squared()
     if abs(n2 - 1.0) > 1e-9:
         warnings.warn(
@@ -89,59 +107,58 @@ def polynomial_to_state(
     return normalize(state)
 
 
-def _poly_mul(p: _CM, q: _CM) -> dict[BasisState, complex]:
-    out: dict[BasisState, complex] = {}
+def _product(
+    p: Mapping[_Exponents, complex], q: Mapping[_Exponents, complex]
+) -> dict[_Exponents, complex]:
+    out: dict[_Exponents, complex] = {}
     for k1, c1 in p.items():
         for k2, c2 in q.items():
-            key = k1.combine(k2)
+            key = tuple(map(add, k1, k2))
             out[key] = out.get(key, 0j) + c1 * c2
     return out
 
 
-def _linear_power(
-    images: list[tuple[Mode, complex]], exponent: int
-) -> dict[BasisState, complex]:
-    """(sum_i c_i b_i^dag)^exponent, expanded by iterated multiplication."""
-    base = {BasisState({m: 1}): c for m, c in images if c != 0}
-    result: dict[BasisState, complex] = {BasisState(): 1.0 + 0j}
-    for _ in range(exponent):
-        result = _poly_mul(result, base)
-    return result
+def _image(matrix, exponents: _Exponents) -> list[tuple[_Exponents, complex]]:
+    """prod_j (sum_i matrix[i][j] b_i^dag)^{e_j}, expanded by iterated
+    multiplication and keyed by the exponents of the output operators b_i."""
+    n = len(exponents)
+    one = {(0,) * n: 1.0 + 0j}
+    image = one
+    for j, e in enumerate(exponents):
+        base = {
+            tuple(int(r == i) for r in range(n)): matrix[i][j]
+            for i in range(n)
+            if matrix[i][j] != 0
+        }
+        power = one
+        for _ in range(e):
+            power = _product(power, base)
+        image = _product(image, power)
+    return list(image.items())
 
 
 def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPolynomial:
     """Substitute each input operator by its image under the element.
 
-    A monomial splits into the modes the element leaves alone and the
-    exponents of its input modes.  The image of the input part is expanded
-    once per exponent tuple and merged into each untouched part.
+    The image of a monomial's input exponents is expanded once per exponent
+    tuple and written over the element's slots of the monomial.
     """
-    out_set = set(t.out_modes)
-    blocked = set() if set(t.in_modes) == out_set else out_set
-    images = [
-        [(t.out_modes[i], t.matrix[i][j]) for i in range(len(t.out_modes))]
-        for j in range(len(t.in_modes))
-    ]
-    image_cache: dict[tuple[int, ...], list[tuple[dict[Mode, int], complex]]] = {}
-    out: dict[BasisState, complex] = {}
-    for key, coeff in poly.terms.items():
-        rest = dict(key.items())
-        if not blocked.isdisjoint(rest):
-            mode = min(blocked.intersection(rest))
-            raise ModeMismatchError(f"output mode {mode.label()} is already occupied")
-        exponents = tuple(rest.pop(m, 0) for m in t.in_modes)
+    slots, terms, ins, outs = element_slots(poly._slots, poly._terms, t.in_modes, t.out_modes)
+    # an element acts on one or two modes, so [0] and [-1] reach all of them
+    i1, i2, o1, o2, n = ins[0], ins[-1], outs[0], outs[-1], len(ins)
+    image_cache: dict[tuple[int, int], list[tuple[_Exponents, complex]]] = {}
+    out: dict[_Exponents, complex] = {}
+    for key, coeff in terms.items():
+        exponents = (key[i1], key[i2])
         image = image_cache.get(exponents)
         if image is None:
-            expanded: dict[BasisState, complex] = {BasisState(): 1.0 + 0j}
-            for mode_images, e in zip(images, exponents):
-                expanded = _poly_mul(expanded, _linear_power(mode_images, e))
-            image = image_cache[exponents] = [
-                (dict(k.items()), c) for k, c in expanded.items()
-            ]
-        for counts, c in image:
-            k = BasisState._from_counts({**rest, **counts})
+            image = image_cache[exponents] = _image(t.matrix, exponents[:n])
+        counts = list(key)
+        for written, c in image:
+            counts[o1], counts[o2] = written[0], written[-1]
+            k = tuple(counts)
             out[k] = out.get(k, 0j) + coeff * c
-    return CreationPolynomial({k: c for k, c in out.items() if c != 0})
+    return CreationPolynomial._trusted(slots, {k: c for k, c in out.items() if c != 0})
 
 
 def apply_transform(
@@ -154,8 +171,7 @@ def apply_transform(
 
     ``max_photons``, when given, bounds the photon total of every term.
     """
-    for bs, _ in state:
-        check_photon_budget(bs.total, max_photons)
+    check_photon_budget(max(map(sum, state._terms), default=0), max_photons)
     poly = substitute_modes(state_to_polynomial(state), t)
     ports = state.ports.union(m.port for m in t.in_modes + t.out_modes)
     return polynomial_to_state(poly, ports=ports)

@@ -22,8 +22,13 @@ from dataclasses import dataclass
 # paths.unitarity_defect stays importable for callers that wrap it (the
 # benchmark tracer counts unitarity checks there).
 from .elements import ModeTransform, require_unitary, unitarity_defect  # noqa: F401
-from .errors import ModeMismatchError
-from .fock import DEFAULT_MAX_PHOTONS, BasisState, PhotonState, check_photon_budget, normalize
+from .fock import (
+    DEFAULT_MAX_PHOTONS,
+    PhotonState,
+    check_photon_budget,
+    element_slots,
+    normalize,
+)
 
 __all__ = ["RoutingTrace", "scatter_two_mode", "trace_paths", "apply_transform"]
 
@@ -139,20 +144,6 @@ def trace_paths(
     return traces
 
 
-def _split_term(bs: BasisState, in_modes, blocked, max_photons):
-    """Counts of the modes an element leaves alone, and of its input modes.
-
-    Rejects a term with photons already in one of the ``blocked`` output
-    modes of a rerouting element, or over the photon budget.
-    """
-    rest = dict(bs.items())
-    for mode in blocked:
-        if mode in rest:
-            raise ModeMismatchError(f"output mode {mode.label()} is already occupied")
-    check_photon_budget(sum(rest.values()), max_photons)
-    return rest, [rest.pop(m, 0) for m in in_modes]
-
-
 def apply_transform(
     state: PhotonState,
     t: ModeTransform,
@@ -162,32 +153,34 @@ def apply_transform(
     """Evolve a state through one element by summing photon routings.
 
     ``max_photons``, when given, bounds the photon total of every term.
-    Only the element's modes of each term change.  The result is
+    Only the element's counts of each term change.  The result is
     normalized.
     """
-    blocked = () if set(t.in_modes) == set(t.out_modes) else t.out_modes
-    new: dict[BasisState, complex] = {}
-    if len(t.in_modes) == 1:
+    check_photon_budget(max(map(sum, state._terms), default=0), max_photons)
+    slots, terms, ins, outs = element_slots(
+        state._slots, state._terms, t.in_modes, t.out_modes
+    )
+    new: dict[tuple[int, ...], complex] = {}
+    if len(ins) == 1:
+        # a one-mode element keeps every key: its output slot is its input's
+        (i,) = ins
         u = t.matrix[0][0]
-        m_out = t.out_modes[0]
-        for bs, amp in state:
-            rest, (n,) = _split_term(bs, t.in_modes, blocked, max_photons)
-            if not blocked:
-                nb = bs
-            else:
-                rest[m_out] = n
-                nb = BasisState._from_counts(rest)
-            new[nb] = new.get(nb, 0j) + amp * u**n
+        for key, amp in terms.items():
+            new[key] = new.get(key, 0j) + amp * u ** key[i]
     else:
-        o1, o2 = t.out_modes
+        i1, i2 = ins
+        o1, o2 = outs
         cache: dict[tuple[int, int], dict[tuple[int, int], complex]] = {}
-        for bs, amp in state:
-            rest, (n1, n2) = _split_term(bs, t.in_modes, blocked, max_photons)
-            key = (n1, n2)
-            if key not in cache:
-                cache[key] = scatter_two_mode(n1, n2, t.matrix, max_photons=None)
-            for (ma, mb), s_amp in cache[key].items():
-                nb = BasisState._from_counts({**rest, o1: ma, o2: mb})
-                new[nb] = new.get(nb, 0j) + amp * s_amp
+        for key, amp in terms.items():
+            n12 = (key[i1], key[i2])
+            scattered = cache.get(n12)
+            if scattered is None:
+                scattered = cache[n12] = scatter_two_mode(*n12, t.matrix, max_photons=None)
+            counts = list(key)
+            for (ma, mb), s_amp in scattered.items():
+                counts[o1] = ma
+                counts[o2] = mb
+                nk = tuple(counts)
+                new[nk] = new.get(nk, 0j) + amp * s_amp
     ports = state.ports.union(m.port for m in t.in_modes + t.out_modes)
-    return normalize(PhotonState._from_terms(new, ports))
+    return normalize(PhotonState._from_slots(slots, new, ports))

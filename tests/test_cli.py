@@ -10,6 +10,7 @@ import pytest
 
 from fockpath import PhotonState
 from fockpath.cli import main
+import fockpath.circuit
 import fockpath.cli
 import fockpath.operators
 
@@ -112,6 +113,22 @@ def test_run_budget_exit_code(tmp_path, capsys):
     code, _, err = run_main(["run", str(f)], capsys)
     assert code == 4
     assert "9" in err
+
+
+@pytest.mark.parametrize("engine", ["paths", "operators"])
+def test_run_state_size_guard_exits_4(tmp_path, capsys, monkeypatch, engine):
+    # |2, 1> through a 50:50 splitter on line 5 gives four terms
+    f = tmp_path / "grows.fpc"
+    f.write_text(
+        "port a\nport b\nsource a fock 2 pol x\nsource b fock 1 pol x\n"
+        "rbs split=50 a b -> a b\n"
+    )
+    monkeypatch.setattr(fockpath.circuit, "MAX_TERMS", 4)
+    assert run_main(["run", str(f), "--engine", engine], capsys)[0] == 0
+    monkeypatch.setattr(fockpath.circuit, "MAX_TERMS", 3)
+    code, _, err = run_main(["run", str(f), "--engine", engine], capsys)
+    assert code == 4
+    assert "line 5: the state has 4 terms, more than the maximum of 3" in err
 
 
 def test_run_arithmetic_overflow_exits_1(capsys, monkeypatch):

@@ -59,6 +59,13 @@ def test_poisson_tail_edge_cases():
         poisson_tail(-1.0, 3)
 
 
+def test_poisson_tail_rejects_underflowing_start():
+    # e^{-800} underflows: the sum read 1 - 0, a tail of 1 where it is ~0
+    with pytest.raises(TruncationError, match="underflows"):
+        poisson_tail(800.0, 2000)
+    assert poisson_tail(700.0, 2000) < 1e-12  # e^{-700} is still normal
+
+
 def test_default_truncation_goldens():
     assert default_truncation(0.0) == 0
     assert default_truncation(0.15) == 4

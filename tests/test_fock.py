@@ -15,12 +15,15 @@ from fockpath import (
     UnknownPortError,
     expected_photon_number,
     inner_product,
+    make_rbs,
+    max_amplitude_difference,
     normalize,
     number_distribution,
     state_from_json,
     state_to_json,
     tensor_product,
 )
+from fockpath import paths
 
 AX = Mode("a", "x")
 AY = Mode("a", "y")
@@ -198,6 +201,37 @@ def test_json_is_sorted_deterministically():
     s1 = PhotonState({BasisState({AX: 1}): 0.6, BasisState({BX: 1}): 0.8})
     s2 = PhotonState({BasisState({BX: 1}): 0.8, BasisState({AX: 1}): 0.6})
     assert state_to_json(s1) == state_to_json(s2)
+
+
+def test_amplitude_of_mode_outside_the_state_is_zero():
+    s = PhotonState({BasisState({AX: 1}): 1.0})
+    assert s.amplitude(BasisState({BX: 1})) == 0j
+    assert s.amplitude({AX: 1, BX: 1}) == 0j
+    assert s.amplitude({AX: 1, BX: 0}) == 1.0
+
+
+def test_slot_order_never_shows():
+    # an identity splitter's outputs take its inputs' slots, so the moved
+    # state keys its terms over (b.x, a.x) where a direct build sorts them
+    cx, dx = Mode("c", "x"), Mode("d", "x")
+    start = PhotonState({BasisState({cx: 1, dx: 1}): 0.6, BasisState({cx: 2}): 0.8j})
+    identity = make_rbs(1.0, 0.0, in_modes=(dx, cx), out_modes=(AX, BX))
+    moved = paths.apply_transform(start, identity)
+    assert moved._slots == (BX, AX)
+    terms = {BasisState({AX: 1, BX: 1}): 0.6, BasisState({BX: 2}): 0.8j}
+    for direct in (PhotonState(terms), PhotonState(dict(reversed(terms.items())))):
+        direct = normalize(direct)
+        assert direct.terms == moved.terms
+        assert direct.sorted_terms() == moved.sorted_terms()
+        assert state_to_json(direct) == state_to_json(moved)
+        assert max_amplitude_difference(direct, moved) == 0.0
+
+
+def test_max_amplitude_difference_across_mode_sets():
+    a = PhotonState({BasisState({AX: 1}): 0.6, BasisState({BX: 1}): 0.8})
+    b = PhotonState({BasisState({AX: 1}): 0.6, BasisState({AY: 1}): -0.8})
+    assert max_amplitude_difference(a, b) == 0.8
+    assert max_amplitude_difference(a, a) == 0.0
 
 
 amplitudes = st.complex_numbers(

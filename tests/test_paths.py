@@ -25,6 +25,8 @@ from fockpath import (
     make_phase_shifter,
     make_rbs,
     make_split50_rbs,
+    parse_circuit,
+    run_circuit,
     scatter_two_mode,
     trace_paths,
 )
@@ -251,6 +253,86 @@ def test_apply_transform_budget_check(engine):
     with pytest.raises(PhotonBudgetError, match="5 photons exceed the configured maximum of 4"):
         engine.apply_transform(s, t, max_photons=4)
     assert len(engine.apply_transform(s, t, max_photons=5)) == 6
+
+
+@BOTH_ENGINES
+def test_apply_transform_rejects_non_finite_amplitude(engine):
+    # both photons reach output 3.x in phase: 2 * 1.7e308 / sqrt(2) overflows
+    s = PhotonState(
+        {
+            BasisState({Mode("1", "x"): 1}): 1.7e308,
+            BasisState({Mode("2", "x"): 1}): -1.7e308j,
+        }
+    )
+    with pytest.raises(ValueError, match="non-finite amplitude for 3.x=1"):
+        engine.apply_transform(s, make_split50_rbs())
+
+
+REROUTING_TEXT = """\
+port a
+port b
+port t
+port r
+port c
+port d
+port e
+port f
+source a linpol angle=30 n=2
+source b fock 1 pol y
+phase deg=10 on e
+pbs axis=0 a -> t r
+rbs split=50 t b -> c d
+waveplate phase=90 axis=30 on c
+phase deg=40 on d
+rbs split=50 c d -> c d
+rbs split=50 c d -> e f
+waveplate phase=60 axis=15 on f
+"""
+
+# Final amplitudes of REROUTING_TEXT, computed by the path-sum engine while
+# states were still keyed by BasisState objects.
+REROUTING_REFERENCE = [
+    ({"e.x": 1, "e.y": 1, "f.x": 1}, complex(-0.007012192202690393, 0.25664917282257615)),
+    ({"e.x": 1, "e.y": 1, "f.y": 1}, complex(0.05198330370606487, 0.26833704065186953)),
+    ({"e.x": 1, "e.y": 1, "r.y": 1}, complex(0.3015345612020941, -0.05316867875601715)),
+    ({"e.x": 1, "f.x": 1, "f.y": 1}, complex(-0.004069879164068674, 0.02308143171122353)),
+    ({"e.x": 1, "f.x": 1, "r.y": 1}, complex(0.21909627622851563, 0.04244418974132943)),
+    ({"e.x": 1, "f.x": 2}, complex(-0.10139880292578213, 0.24445065874751382)),
+    ({"e.x": 1, "f.y": 1, "r.y": 1}, complex(-0.20955317210756252, 0.005725430958304849)),
+    ({"e.x": 1, "f.y": 2}, complex(-0.011676657525003391, -0.2643889132810202)),
+    ({"e.x": 2, "e.y": 1}, complex(-0.22963966338592295, -0.13258252147247765)),
+    ({"e.x": 2, "f.x": 1}, complex(-0.12172410159372411, -0.15012247905027654)),
+    ({"e.x": 2, "f.y": 1}, complex(0.14220767519650593, 0.11285371721926162)),
+    ({"e.y": 1, "f.x": 1, "f.y": 1}, complex(0.1446069685307275, -0.11877603104494901)),
+    ({"e.y": 1, "f.x": 1, "r.y": 1}, complex(-0.13031224803118133, -0.16420727911106717)),
+    ({"e.y": 1, "f.x": 2}, complex(0.11087649749485526, -0.05617763103811525)),
+    ({"e.y": 1, "f.y": 1, "r.y": 1}, complex(-0.17334650738218232, -0.14055488564400392)),
+    ({"e.y": 1, "f.y": 2}, complex(0.08686794119642273, -0.11089641999666214)),
+    ({"e.y": 1, "r.y": 2}, complex(-0.11362986941801094, 0.13541880510492552)),
+    ({"f.x": 1, "f.y": 1, "r.y": 1}, complex(-0.009568319307746737, -0.016572815184059578)),
+    ({"f.x": 1, "f.y": 2}, complex(-0.06732706168524258, 0.040396237011145614)),
+    ({"f.x": 1, "r.y": 2}, complex(-0.11265263312667978, 0.06253756270934852)),
+    ({"f.x": 2, "f.y": 1}, complex(0.1022614126015438, -0.034087137533847935)),
+    ({"f.x": 2, "r.y": 1}, complex(-0.06487380919760447, -0.20611473361078006)),
+    ({"f.x": 3}, complex(0.15608320870761955, -0.01614653883182273)),
+    ({"f.y": 1, "r.y": 2}, complex(0.09055554621460017, -0.08030025248886473)),
+    ({"f.y": 2, "r.y": 1}, complex(0.14606369080239567, 0.15923973361077995)),
+    ({"f.y": 3}, complex(-0.12118871103343655, 0.11497390533941429)),
+]
+
+
+@BOTH_ENGINES
+def test_rerouting_into_fresh_and_emptied_slots_matches_reference(engine):
+    # the pbs and the first rbs move photons into fresh ports, the last rbs
+    # into e, whose modes got empty slots from the phase on line 11
+    result = run_circuit(parse_circuit(REROUTING_TEXT), engine=engine.ENGINE_NAME)
+    expected = {
+        BasisState({Mode.from_label(k): n for k, n in occ.items()}): amp
+        for occ, amp in REROUTING_REFERENCE
+    }
+    assert set(result.state.terms) == set(expected)
+    for bs, amp in expected.items():
+        assert abs(result.state.amplitude(bs) - amp) < 1e-12
 
 
 @settings(max_examples=60)
