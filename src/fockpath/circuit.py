@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Union
 
-from . import operators, paths
+from . import fock, operators, paths
 from .coherent import CoherentParams, coherent_state, default_truncation
 from .elements import (
     ModeTransform,
@@ -52,7 +52,6 @@ from .errors import (
 )
 from .fock import (
     DEFAULT_MAX_PHOTONS,
-    MAX_TERMS,
     BasisState,
     Mode,
     PhotonState,
@@ -663,10 +662,10 @@ def _evolve(state: PhotonState, bound, engine, max_photons: int) -> PhotonState:
             state = engine.apply_transform(state, transform, max_photons=max_photons)
         except FockPathError as exc:
             raise type(exc)(f"line {line}: {exc}") from exc
-        if len(state) > MAX_TERMS:
+        if len(state) > fock.MAX_TERMS:
             raise PhotonBudgetError(
                 f"line {line}: the state has {len(state)} terms, more than the "
-                f"maximum of {MAX_TERMS}"
+                f"maximum of {fock.MAX_TERMS}"
             )
     return state
 

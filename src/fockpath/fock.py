@@ -24,7 +24,6 @@ __all__ = [
     "MAX_TERMS",
     "PRUNE_EPS",
     "check_photon_budget",
-    "element_slots",
     "Mode",
     "BasisState",
     "PhotonState",
@@ -211,7 +210,7 @@ class _SlotTerms:
         return len(self._terms)
 
 
-def element_slots(
+def _element_slots(
     slots: Slots,
     terms: Mapping[Counts, complex],
     in_modes: Sequence[Mode],
@@ -394,10 +393,7 @@ def expected_photon_number(state: PhotonState, port: str) -> float:
 
 def max_amplitude_difference(a: PhotonState, b: PhotonState) -> float:
     """Largest |amplitude difference| over the union of both supports."""
-    if a._slots == b._slots:
-        ta, tb = a._terms, b._terms
-    else:
-        ta, tb = a.terms, b.terms
+    ta, tb = a.terms, b.terms
     keys = ta.keys() | tb.keys()
     if not keys:
         return 0.0

@@ -9,7 +9,7 @@ is why comparing the two is a meaningful correctness check.
 
 Monomials are keyed like state terms: a monomial prod_m (a_m^dag)^{e_m} is
 the tuple of its exponents over a slot table of modes (see
-:func:`fockpath.fock.element_slots`), and :class:`fockpath.fock.BasisState`
+:func:`fockpath.fock._element_slots`), and :class:`fockpath.fock.BasisState`
 is its public key.
 """
 
@@ -27,7 +27,7 @@ from .fock import (
     PhotonState,
     _SlotTerms,
     check_photon_budget,
-    element_slots,
+    _element_slots,
     normalize,
 )
 
@@ -143,7 +143,7 @@ def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPoly
     The image of a monomial's input exponents is expanded once per exponent
     tuple and written over the element's slots of the monomial.
     """
-    slots, terms, ins, outs = element_slots(poly._slots, poly._terms, t.in_modes, t.out_modes)
+    slots, terms, ins, outs = _element_slots(poly._slots, poly._terms, t.in_modes, t.out_modes)
     # an element acts on one or two modes, so [0] and [-1] reach all of them
     i1, i2, o1, o2, n = ins[0], ins[-1], outs[0], outs[-1], len(ins)
     image_cache: dict[tuple[int, int], list[tuple[_Exponents, complex]]] = {}

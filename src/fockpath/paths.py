@@ -26,7 +26,7 @@ from .fock import (
     DEFAULT_MAX_PHOTONS,
     PhotonState,
     check_photon_budget,
-    element_slots,
+    _element_slots,
     normalize,
 )
 
@@ -157,7 +157,7 @@ def apply_transform(
     normalized.
     """
     check_photon_budget(max(map(sum, state._terms), default=0), max_photons)
-    slots, terms, ins, outs = element_slots(
+    slots, terms, ins, outs = _element_slots(
         state._slots, state._terms, t.in_modes, t.out_modes
     )
     new: dict[tuple[int, ...], complex] = {}

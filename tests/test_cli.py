@@ -10,8 +10,8 @@ import pytest
 
 from fockpath import PhotonState
 from fockpath.cli import main
-import fockpath.circuit
 import fockpath.cli
+import fockpath.fock
 import fockpath.operators
 
 
@@ -123,9 +123,9 @@ def test_run_state_size_guard_exits_4(tmp_path, capsys, monkeypatch, engine):
         "port a\nport b\nsource a fock 2 pol x\nsource b fock 1 pol x\n"
         "rbs split=50 a b -> a b\n"
     )
-    monkeypatch.setattr(fockpath.circuit, "MAX_TERMS", 4)
+    monkeypatch.setattr(fockpath.fock, "MAX_TERMS", 4)
     assert run_main(["run", str(f), "--engine", engine], capsys)[0] == 0
-    monkeypatch.setattr(fockpath.circuit, "MAX_TERMS", 3)
+    monkeypatch.setattr(fockpath.fock, "MAX_TERMS", 3)
     code, _, err = run_main(["run", str(f), "--engine", engine], capsys)
     assert code == 4
     assert "line 5: the state has 4 terms, more than the maximum of 3" in err
