@@ -28,6 +28,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 from . import fock, operators, paths
@@ -170,6 +171,11 @@ class Circuit:
     sources: tuple[SourceStmt, ...] = ()
     elements: tuple[ElementStmt, ...] = ()
     name: str = field(default="", compare=False)
+
+    @cached_property
+    def bound(self) -> tuple[tuple[ModeTransform, int], ...]:
+        """``elaborate(self)``, computed once (by the parser, for a parsed circuit)."""
+        return tuple(elaborate(self))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +445,7 @@ def _validate_circuit(circuit: Circuit):
                     st.line,
                 )
     try:
-        elaborate(circuit)
+        circuit.bound  # elaborated here, so a basis mismatch fails at parse time
     except ModeMismatchError as exc:
         line = getattr(exc, "line", 0)
         raise ParseError(str(exc), line) from exc
@@ -573,66 +579,49 @@ def elaborate(circuit: Circuit) -> list[tuple[ModeTransform, int]]:
                 )
                 exc.line = st.line
                 raise exc
-            for ax in pin:
-                bound.append(
-                    (
-                        make_rbs(
-                            st.rho,
-                            st.tau,
-                            in_modes=(Mode(st.inputs[0], ax), Mode(st.inputs[1], ax)),
-                            out_modes=(Mode(st.outputs[0], ax), Mode(st.outputs[1], ax)),
-                        ),
-                        st.line,
-                    )
+            made = [
+                make_rbs(
+                    st.rho,
+                    st.tau,
+                    in_modes=(Mode(st.inputs[0], ax), Mode(st.inputs[1], ax)),
+                    out_modes=(Mode(st.outputs[0], ax), Mode(st.outputs[1], ax)),
                 )
-            pairs[st.outputs[0]] = pin
-            pairs[st.outputs[1]] = pin
+                for ax in pin
+            ]
+            pairs[st.outputs[0]] = pairs[st.outputs[1]] = pin
         elif isinstance(st, PbsStmt):
-            a1, a2 = axis_pair(st.input)
             t = make_pbs(
                 math.radians(st.axis_deg),
                 in_port=st.input,
                 transmitted_port=st.transmitted,
                 reflected_port=st.reflected,
-                axes=(a1, a2),
+                axes=axis_pair(st.input),
             )
-            out_pair = (t.out_modes[0].pol, t.out_modes[1].pol)
-            pairs[st.transmitted] = out_pair
-            pairs[st.reflected] = out_pair
-            bound.append((t, st.line))
+            pairs[st.transmitted] = pairs[st.reflected] = (t.out_modes[0].pol, t.out_modes[1].pol)
+            made = [t]
         elif isinstance(st, WaveplateStmt):
-            bound.append(
-                (
-                    make_waveplate(
-                        math.radians(st.phase_deg),
-                        math.radians(st.axis_deg),
-                        port=st.port,
-                        axes=axis_pair(st.port),
-                    ),
-                    st.line,
+            made = [
+                make_waveplate(
+                    math.radians(st.phase_deg),
+                    math.radians(st.axis_deg),
+                    port=st.port,
+                    axes=axis_pair(st.port),
                 )
-            )
+            ]
         elif isinstance(st, RotpolStmt):
-            bound.append(
-                (
-                    make_polarization_rotation(
-                        math.radians(st.angle_deg),
-                        port=st.port,
-                        axes=axis_pair(st.port),
-                    ),
-                    st.line,
+            made = [
+                make_polarization_rotation(
+                    math.radians(st.angle_deg), port=st.port, axes=axis_pair(st.port)
                 )
-            )
+            ]
         elif isinstance(st, PhaseStmt):
-            for ax in axis_pair(st.port):
-                bound.append(
-                    (
-                        make_phase_shifter(
-                            math.radians(st.deg), mode=Mode(st.port, ax)
-                        ),
-                        st.line,
-                    )
-                )
+            made = [
+                make_phase_shifter(math.radians(st.deg), mode=Mode(st.port, ax))
+                for ax in axis_pair(st.port)
+            ]
+        else:
+            raise TypeError(f"unknown element statement {st!r}")
+        bound.extend((t, st.line) for t in made)
     return bound
 
 
@@ -677,8 +666,7 @@ def _run_engines(
     final state and, for two engines, their max amplitude difference."""
     maxp = DEFAULT_MAX_PHOTONS if max_photons is None else max_photons
     start = initial_state(circuit, maxp)
-    bound = elaborate(circuit)
-    states = [_evolve(start, bound, _ENGINES[name], maxp) for name in names]
+    states = [_evolve(start, circuit.bound, _ENGINES[name], maxp) for name in names]
     discrepancy = max_amplitude_difference(*states) if len(states) == 2 else None
     return states[0], discrepancy
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import (
     EnergyConservationError,
@@ -50,17 +51,17 @@ Matrix = tuple[tuple[complex, ...], ...]
 
 
 def _as_matrix(rows) -> Matrix:
-    return tuple(tuple(complex(v) for v in row) for row in rows)
+    return tuple(tuple(map(complex, row)) for row in rows)
 
 
 def unitarity_defect(matrix) -> float:
     """Max-entry deviation of M M^dag from the identity; NaN if any is NaN."""
     m = _as_matrix(matrix)
-    size = range(len(m))
+    conj = [[v.conjugate() for v in row] for row in m]
     errors = [
-        abs(sum(m[i][k] * m[j][k].conjugate() for k in size) - (1.0 if i == j else 0.0))
-        for i in size
-        for j in size
+        abs(sum(map(mul, row, conj_row)) - (1.0 if i == j else 0.0))
+        for i, row in enumerate(m)
+        for j, conj_row in enumerate(conj)
     ]
     return math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
 

@@ -334,7 +334,11 @@ class PhotonState(_SlotTerms):
 
 def normalize(state: PhotonState) -> PhotonState:
     """Rescale so the squared amplitudes sum to one."""
-    n2 = state.norm_squared()
+    return _rescaled(state, state.norm_squared())
+
+
+def _rescaled(state: PhotonState, n2: float) -> PhotonState:
+    """``state`` divided by sqrt(n2), where n2 is its squared norm."""
     if n2 <= 0.0:
         raise NullStateError("cannot normalize a null state")
     scale = 1.0 / math.sqrt(n2)
@@ -392,8 +396,14 @@ def expected_photon_number(state: PhotonState, port: str) -> float:
 
 
 def max_amplitude_difference(a: PhotonState, b: PhotonState) -> float:
-    """Largest |amplitude difference| over the union of both supports."""
-    ta, tb = a.terms, b.terms
+    """Largest |amplitude difference| over the union of both supports,
+    compared over ``a``'s slots followed by the slots only ``b`` has."""
+    slots = a._slots + tuple(m for m in b._slots if m not in a._slots)
+    pad = (0,) * (len(slots) - len(a._slots))
+    # each slot's place in a key of b padded with one zero count
+    take = [b._slots.index(m) if m in b._slots else len(b._slots) for m in slots]
+    ta = {k + pad: v for k, v in a._terms.items()}
+    tb = {tuple(map((k + (0,)).__getitem__, take)): v for k, v in b._terms.items()}
     keys = ta.keys() | tb.keys()
     if not keys:
         return 0.0

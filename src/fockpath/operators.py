@@ -1,11 +1,13 @@
 """Creation-operator evolution engine.
 
-A state is rewritten as a polynomial in mode creation operators acting on
-the vacuum, each element substitutes its input operators by linear
-combinations of output operators, the polynomial is expanded by iterated
-multiplication, and the result is read back into Fock amplitudes.  This is
-an independent derivation of the same physics as the path-sum engine, which
-is why comparing the two is a meaningful correctness check.
+A state is a polynomial in mode creation operators on the vacuum, with
+amplitude = coefficient * sqrt(prod m!).  Each element substitutes its input
+operators by linear combinations of output operators, expanded by iterated
+multiplication once per exponent tuple of its own modes; the other modes'
+factorials cancel, so :func:`apply_transform` scales that cached image by
+sqrt(m_a! m_b!)/sqrt(n_1! n_2!) and substitutes Fock amplitudes directly.
+This is an independent derivation of the same physics as the path-sum
+engine, which is why comparing the two is a meaningful correctness check.
 
 Monomials are keyed like state terms: a monomial prod_m (a_m^dag)^{e_m} is
 the tuple of its exponents over a slot table of modes (see
@@ -28,7 +30,8 @@ from .fock import (
     _SlotTerms,
     check_photon_budget,
     _element_slots,
-    normalize,
+    _rescaled,
+    normalize,  # noqa: F401  (unused here; the benchmark tracer wraps operators.normalize)
 )
 
 __all__ = [
@@ -94,17 +97,19 @@ def polynomial_to_state(
     terms = {k: c * math.sqrt(math.prod(map(math.factorial, k))) for k, c in poly._terms.items()}
     occupied = (m for m, column in zip(slots, zip(*terms)) if any(column))
     universe = frozenset(ports).union(m.port for m in occupied)
-    state = PhotonState._from_slots(slots, terms, universe)
+    return _to_state(slots, terms, universe, normalized)
+
+
+def _to_state(slots, terms: dict, ports, normalized: bool = True) -> PhotonState:
+    """State of the amplitudes ``terms``; its squared norm, taken once, is
+    warned about when off from one by more than 1e-9 and then divided out."""
+    state = PhotonState._from_slots(slots, terms, ports)
     n2 = state.norm_squared()
     if abs(n2 - 1.0) > 1e-9:
         warnings.warn(
-            f"polynomial squared norm {n2:.12g} differs from 1",
-            RuntimeWarning,
-            stacklevel=2,
+            f"polynomial squared norm {n2:.12g} differs from 1", RuntimeWarning, stacklevel=3
         )
-    if not normalized:
-        return state
-    return normalize(state)
+    return _rescaled(state, n2) if normalized else state
 
 
 def _product(
@@ -137,13 +142,19 @@ def _image(matrix, exponents: _Exponents) -> list[tuple[_Exponents, complex]]:
     return list(image.items())
 
 
-def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPolynomial:
-    """Substitute each input operator by its image under the element.
+def _amplitude_image(matrix, exponents: _Exponents) -> list[tuple[_Exponents, complex]]:
+    """:func:`_image` times sqrt(prod m!)/sqrt(prod n!): amplitudes to amplitudes."""
+    root = math.sqrt(math.prod(map(math.factorial, exponents)))
+    return [
+        (k, c * math.sqrt(math.prod(map(math.factorial, k))) / root)
+        for k, c in _image(matrix, exponents)
+    ]
 
-    The image of a monomial's input exponents is expanded once per exponent
-    tuple and written over the element's slots of the monomial.
-    """
-    slots, terms, ins, outs = _element_slots(poly._slots, poly._terms, t.in_modes, t.out_modes)
+
+def _substitute(slots, terms, t: ModeTransform, image_of):
+    """Slot table after the element, and the terms with ``image_of(t.matrix,
+    exponents)`` of each key's input exponents written over its slots."""
+    slots, terms, ins, outs = _element_slots(slots, terms, t.in_modes, t.out_modes)
     # an element acts on one or two modes, so [0] and [-1] reach all of them
     i1, i2, o1, o2, n = ins[0], ins[-1], outs[0], outs[-1], len(ins)
     image_cache: dict[tuple[int, int], list[tuple[_Exponents, complex]]] = {}
@@ -152,12 +163,22 @@ def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPoly
         exponents = (key[i1], key[i2])
         image = image_cache.get(exponents)
         if image is None:
-            image = image_cache[exponents] = _image(t.matrix, exponents[:n])
+            image = image_cache[exponents] = image_of(t.matrix, exponents[:n])
         counts = list(key)
         for written, c in image:
             counts[o1], counts[o2] = written[0], written[-1]
             k = tuple(counts)
             out[k] = out.get(k, 0j) + coeff * c
+    return slots, out
+
+
+def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPolynomial:
+    """Substitute each input operator by its image under the element.
+
+    The image of a monomial's input exponents is expanded once per exponent
+    tuple and written over the element's slots of the monomial.
+    """
+    slots, out = _substitute(poly._slots, poly._terms, t, _image)
     return CreationPolynomial._trusted(slots, {k: c for k, c in out.items() if c != 0})
 
 
@@ -167,11 +188,11 @@ def apply_transform(
     *,
     max_photons: int | None = None,
 ) -> PhotonState:
-    """Evolve a state through one element via operator substitution.
-
-    ``max_photons``, when given, bounds the photon total of every term.
+    """Evolve a state through one element via operator substitution on its
+    amplitudes.  ``max_photons``, when given, bounds the photon total of
+    every term.
     """
     check_photon_budget(max(map(sum, state._terms), default=0), max_photons)
-    poly = substitute_modes(state_to_polynomial(state), t)
+    slots, terms = _substitute(state._slots, state._terms, t, _amplitude_image)
     ports = state.ports.union(m.port for m in t.in_modes + t.out_modes)
-    return polynomial_to_state(poly, ports=ports)
+    return _to_state(slots, terms, ports)

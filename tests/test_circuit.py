@@ -21,7 +21,7 @@ from fockpath import (
     run_circuit,
     serialize_circuit,
 )
-from fockpath.circuit import DEMO_CIRCUITS
+from fockpath.circuit import DEMO_CIRCUITS, Circuit, elaborate
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -344,8 +344,14 @@ def test_mixed_axis_rbs_rejected():
         "pbs axis=20 a -> t r\n"
         "rbs split=50 t a -> o1 o2\n"
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="polarization bases") as info:
         parse_circuit(text)
+    assert info.value.line == 8
+
+
+def test_elaborate_rejects_unknown_statement():
+    with pytest.raises(TypeError, match="unknown element statement"):
+        elaborate(Circuit(ports=("a",), elements=("waveplate",)))
 
 
 def test_photon_number_conserved_through_circuits():

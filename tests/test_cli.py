@@ -10,6 +10,7 @@ import pytest
 
 from fockpath import PhotonState
 from fockpath.cli import main
+import fockpath.circuit
 import fockpath.cli
 import fockpath.fock
 import fockpath.operators
@@ -382,6 +383,33 @@ def test_check_reports_worst_discrepancy(capsys):
     assert code == 0, err
     assert "checked 25 random circuits (seed 7)" in out
     assert "max amplitude discrepancy" in out
+
+
+@pytest.fixture
+def elaborated(monkeypatch):
+    """Every circuit passed to ``circuit.elaborate``, one entry per call."""
+    seen = []
+    real = fockpath.circuit.elaborate
+
+    def counting(circuit):
+        seen.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(fockpath.circuit, "elaborate", counting)
+    return seen
+
+
+def test_run_elaborates_once(capsys, elaborated):
+    code, _, err = run_main(["run", "--demo", "hom"], capsys)
+    assert code == 0, err
+    assert len(elaborated) == 1
+
+
+def test_check_elaborates_each_circuit_once(capsys, elaborated):
+    code, _, err = run_main(["check", "--seed", "5", "--count", "12"], capsys)
+    assert code == 0, err
+    assert len(elaborated) == 12
+    assert len({id(c) for c in elaborated}) == 12
 
 
 # --- output files -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -88,6 +89,31 @@ def test_constructor_matrices_unitary_tightly():
     ]
     for t in candidates:
         assert unitarity_defect(t.matrix) < 1e-12
+
+
+def test_unitarity_defect_matches_entrywise_sum():
+    def reference(m):
+        size = range(len(m))
+        errors = [
+            abs(sum(m[i][k] * m[j][k].conjugate() for k in size) - (1.0 if i == j else 0.0))
+            for i in size
+            for j in size
+        ]
+        return math.nan if any(map(math.isnan, errors)) else max(errors, default=0.0)
+
+    rng = random.Random(4)
+    specials = [0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, 1e300, 2**-0.5]
+
+    def entry():
+        if rng.random() < 0.2:
+            return complex(rng.choice(specials), rng.choice(specials))
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    for _ in range(2000):
+        size = rng.choice([1, 2])
+        m = tuple(tuple(entry() for _ in range(size)) for _ in range(size))
+        got, want = unitarity_defect(m), reference(m)
+        assert got == want or (math.isnan(got) and math.isnan(want)), m
 
 
 def test_unitarity_gate_rejects_nan_matrix():

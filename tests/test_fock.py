@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -232,6 +233,40 @@ def test_max_amplitude_difference_across_mode_sets():
     b = PhotonState({BasisState({AX: 1}): 0.6, BasisState({AY: 1}): -0.8})
     assert max_amplitude_difference(a, b) == 0.8
     assert max_amplitude_difference(a, a) == 0.0
+
+
+def _public_key_difference(a, b):
+    """max_amplitude_difference written over the public BasisState keys."""
+    ta, tb = a.terms, b.terms
+    keys = ta.keys() | tb.keys()
+    if not keys:
+        return 0.0
+    return max(abs(ta.get(k, 0j) - tb.get(k, 0j)) for k in keys)
+
+
+def test_max_amplitude_difference_matches_public_key_formula():
+    rng = random.Random(8)
+    cx, dx = Mode("c", "x"), Mode("d", "x")
+    modes = [AX, AY, BX, cx, dx]
+
+    def random_state():
+        # slots in random order, some of them empty in every term
+        slots = tuple(rng.sample(modes, rng.randint(0, len(modes))))
+        terms = {
+            tuple(rng.randint(0, 2) for _ in slots): complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            for _ in range(rng.randint(0, 6))
+        }
+        return PhotonState._from_slots(slots, terms, {m.port for m in slots})
+
+    for _ in range(300):
+        a, b = random_state(), random_state()
+        if rng.random() < 0.3:  # the same terms over a permuted slot table
+            order = rng.sample(range(len(a._slots)), len(a._slots))
+            slots = tuple(a._slots[i] for i in order)
+            terms = {tuple(k[i] for i in order): v for k, v in a._terms.items()}
+            b = PhotonState._from_slots(slots, terms, a.ports)
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert max_amplitude_difference(x, y) == _public_key_difference(x, y)
 
 
 amplitudes = st.complex_numbers(

@@ -217,3 +217,60 @@ def test_normalized_state_through_each_element_kind_raises_no_warning(t):
         out = operators.apply_transform(state, t)
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
     assert max_amplitude_difference(out, paths.apply_transform(state, t)) < 1e-12
+
+
+# --- amplitude-space substitution against the public polynomial route --------
+
+Z = Mode("z", "y")  # a spectator the elements never touch
+
+
+def _random_superposition(rng, modes, max_photons=4):
+    """Normalized random superposition over ``modes`` with up to 4 photons."""
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        counts = [0] * len(modes)
+        for _ in range(rng.randint(0, max_photons)):
+            counts[rng.randrange(len(modes))] += 1
+        key = BasisState(zip(modes, counts))
+        terms[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return normalize(PhotonState(terms, ports=["0"]))
+
+
+def _with_empty_slots(state, empty):
+    """``state`` with a zero-count slot for each mode in ``empty``."""
+    zeros = (0,) * len(empty)
+    terms = {k + zeros: a for k, a in state._terms.items()}
+    return PhotonState._from_slots(state._slots + tuple(empty), terms, state.ports)
+
+
+PX, PY = Mode("1", "x"), Mode("1", "y")
+PINNED = [
+    ("rbs_in_place", make_rbs(0.6, 0.8j, in_modes=(M1, M2), out_modes=(M1, M2)), ()),
+    ("rbs_swapped", make_rbs(0.6, 0.8j, in_modes=(M1, M2), out_modes=(M2, M1)), ()),
+    ("rbs_fresh", make_rbs(0.6, 0.8j, in_modes=(M1, M2), out_modes=(M3, M4)), ()),
+    ("rbs_empty_slots", make_split50_rbs(in_modes=(M2, M1), out_modes=(M4, M3)), (M3, M4)),
+    ("pbs", make_pbs(0.3, in_port="1", transmitted_port="4", reflected_port="3"), ()),
+    ("waveplate", make_waveplate(1.1, 0.4, port="1"), ()),
+    ("rotpol", make_polarization_rotation(0.7, port="1"), ()),
+    ("phase", make_phase_shifter(2.0, mode=M1), ()),
+]
+
+
+@pytest.mark.parametrize("name, t, empty", PINNED, ids=[p[0] for p in PINNED])
+def test_apply_transform_matches_polynomial_route(name, t, empty):
+    rng = random.Random(name)
+    ins = t.in_modes if len(t.in_modes) == 2 else (t.in_modes[0], PY)
+    for trial in range(40):
+        # the first trial leaves the second input mode without a slot
+        modes = ins[:1] if trial == 0 else (*ins, Z)
+        state = _with_empty_slots(_random_superposition(rng, modes), empty)
+        ports = state.ports.union(m.port for m in t.in_modes + t.out_modes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = operators.apply_transform(state, t)
+            ref = polynomial_to_state(
+                substitute_modes(state_to_polynomial(state), t), ports=ports
+            )
+        assert out.terms.keys() == ref.terms.keys()
+        assert out.ports == ref.ports
+        assert max_amplitude_difference(out, ref) <= 1e-15
