@@ -261,54 +261,61 @@ def _declared_port(line: _Line, declared: set[str]) -> tuple[str, int]:
     return name, col
 
 
+def _kv_float(line: _Line, key: str) -> float:
+    value, col = _kv(line, key)
+    return _parse_float(value, line.number, col)
+
+
+def _photon_count(line: _Line, token: tuple[str, int]) -> int:
+    value, col = token
+    n = _parse_int(value, line.number, col)
+    if n < 0:
+        raise ParseError("photon count must be non-negative", line.number, col)
+    return n
+
+
+def _optional_pol(line: _Line) -> str:
+    """An optional trailing ``pol x|y`` clause; x when absent."""
+    if line.peek() is None:
+        return "x"
+    _keyword(line, "pol")
+    pol, col = line.take("polarization axis")
+    if pol not in ("x", "y"):
+        raise ParseError(f"polarization must be x or y, got {pol!r}", line.number, col)
+    return pol
+
+
+def _floats_on_port(line: _Line, declared: set[str], *keys: str) -> tuple:
+    """The ``KEY=FLOAT ... on PORT`` rest of a line: the floats, then the port."""
+    values = [_kv_float(line, key) for key in keys]
+    _keyword(line, "on")
+    port, _ = _declared_port(line, declared)
+    line.finish()
+    return (*values, port)
+
+
 def _parse_source(line: _Line, declared: set[str], sourced: set[str]) -> SourceStmt:
     port, pcol = _declared_port(line, declared)
     if port in sourced:
         raise ParseError(f"duplicate source for port {port!r}", line.number, pcol)
     kind, kcol = line.take("source kind")
     if kind == "fock":
-        value, col = line.take("photon count")
-        n = _parse_int(value, line.number, col)
-        if n < 0:
-            raise ParseError("photon count must be non-negative", line.number, col)
-        pol = "x"
-        if line.peek() is not None:
-            _keyword(line, "pol")
-            pol, col = line.take("polarization axis")
-            if pol not in ("x", "y"):
-                raise ParseError(f"polarization must be x or y, got {pol!r}", line.number, col)
-        spec = SourceSpec(kind="fock", n=n, pol=pol)
+        n = _photon_count(line, line.take("photon count"))
+        spec = SourceSpec(kind="fock", n=n, pol=_optional_pol(line))
     elif kind == "linpol":
-        value, col = _kv(line, "angle")
-        angle = math.radians(_parse_float(value, line.number, col))
-        value, col = _kv(line, "n")
-        n = _parse_int(value, line.number, col)
-        if n < 0:
-            raise ParseError("photon count must be non-negative", line.number, col)
-        spec = SourceSpec(kind="linpol", n=n, angle=angle)
+        angle = math.radians(_kv_float(line, "angle"))
+        spec = SourceSpec(kind="linpol", n=_photon_count(line, _kv(line, "n")), angle=angle)
     elif kind == "circpol":
         hand, col = line.take("handedness")
         if hand not in ("rcp", "lcp"):
             raise ParseError(f"handedness must be rcp or lcp, got {hand!r}", line.number, col)
-        value, col = _kv(line, "n")
-        n = _parse_int(value, line.number, col)
-        if n < 0:
-            raise ParseError("photon count must be non-negative", line.number, col)
+        n = _photon_count(line, _kv(line, "n"))
         spec = SourceSpec(kind="circpol", n=n, handedness=hand)
     elif kind == "rcp_lcp_pair":
         spec = SourceSpec(kind="rcp_lcp_pair", n=2)
     elif kind == "coherent":
-        value, col = _kv(line, "re")
-        re_part = _parse_float(value, line.number, col)
-        value, col = _kv(line, "im")
-        im_part = _parse_float(value, line.number, col)
-        pol = "x"
-        if line.peek() is not None:
-            _keyword(line, "pol")
-            pol, col = line.take("polarization axis")
-            if pol not in ("x", "y"):
-                raise ParseError(f"polarization must be x or y, got {pol!r}", line.number, col)
-        spec = SourceSpec(kind="coherent", gamma=complex(re_part, im_part), pol=pol)
+        gamma = complex(_kv_float(line, "re"), _kv_float(line, "im"))
+        spec = SourceSpec(kind="coherent", gamma=gamma, pol=_optional_pol(line))
     else:
         raise ParseError(f"unknown source kind {kind!r}", line.number, kcol)
     line.finish()
@@ -403,27 +410,13 @@ def parse_circuit(text: str, name: str = "") -> Circuit:
         elif head == "pbs":
             elements.append(_parse_pbs(line, declared))
         elif head == "waveplate":
-            value, col = _kv(line, "phase")
-            phase = _parse_float(value, number, col)
-            value, col = _kv(line, "axis")
-            axis = _parse_float(value, number, col)
-            _keyword(line, "on")
-            port, _ = _declared_port(line, declared)
-            line.finish()
+            phase, axis, port = _floats_on_port(line, declared, "phase", "axis")
             elements.append(WaveplateStmt(phase_deg=phase, axis_deg=axis, port=port, line=number))
         elif head == "rotpol":
-            value, col = _kv(line, "angle")
-            angle = _parse_float(value, number, col)
-            _keyword(line, "on")
-            port, _ = _declared_port(line, declared)
-            line.finish()
+            angle, port = _floats_on_port(line, declared, "angle")
             elements.append(RotpolStmt(angle_deg=angle, port=port, line=number))
         elif head == "phase":
-            value, col = _kv(line, "deg")
-            deg = _parse_float(value, number, col)
-            _keyword(line, "on")
-            port, _ = _declared_port(line, declared)
-            line.finish()
+            deg, port = _floats_on_port(line, declared, "deg")
             elements.append(PhaseStmt(deg=deg, port=port, line=number))
         else:
             raise ParseError(f"unknown keyword {head!r}", number, hcol)

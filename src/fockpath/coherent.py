@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .elements import _magnitude, _validate_rbs_coefficients
 from .errors import NullStateError, TruncationError
-from .fock import BasisState, Mode, PhotonState, inner_product, normalize
+from .fock import BasisState, Mode, PhotonState, inner_product, normalize, tensor_product
 
 __all__ = [
     "TAIL_TOL",
@@ -177,13 +177,8 @@ def coherent_fidelity(
     """|<product of truncated coherent kets | state>|^2."""
     if not targets:
         raise ValueError("at least one target mode is required")
-    product = PhotonState({BasisState(): 1.0 + 0j})
-    for mode, params in sorted(targets.items()):
-        coeffs = coherent_fock_coefficients(params)
-        terms = {}
-        for bs, amp in product:
-            for n, c in enumerate(coeffs):
-                terms[bs.combine(BasisState({mode: n}))] = amp * c
-        product = PhotonState(terms)
-    product = normalize(product)
+    # renormalized: the product's terms below PRUNE_EPS are dropped
+    product = normalize(
+        tensor_product(*(coherent_state(p, mode) for mode, p in sorted(targets.items())))
+    )
     return abs(inner_product(product, state)) ** 2

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
@@ -211,23 +212,23 @@ class _SlotTerms:
 
 
 def _element_slots(
-    slots: Slots,
-    terms: Mapping[Counts, complex],
-    in_modes: Sequence[Mode],
-    out_modes: Sequence[Mode],
+    state: _SlotTerms, t, max_photons: int | None = None
 ) -> tuple[Slots, Mapping[Counts, complex], Counts, Counts]:
-    """Slot table after an element, and where the element reads and writes.
+    """An engine's first step through the element ``t`` (a ModeTransform):
+    check ``state``'s photon budget, then find the slot table after ``t``.
 
-    Returns ``(table, terms, ins, outs)``.  An input mode missing from
-    ``slots`` first gets a zero slot, and ``terms`` comes back keyed over
-    the widened table.  The element reads ``in_modes[k]`` at slot ``ins[k]``
-    of those keys and writes ``out_modes[k]`` at slot ``outs[k]`` of keys
+    Returns ``(table, terms, ins, outs)``.  An input mode missing from the
+    state's slots first gets a zero slot, and ``terms`` comes back keyed
+    over the widened table.  ``t`` reads ``t.in_modes[k]`` at slot ``ins[k]``
+    of those keys and writes ``t.out_modes[k]`` at slot ``outs[k]`` of keys
     over ``table``; both index the same set of slots.  The output modes of
     a rerouting element (disjoint from its inputs) take over its input
     modes' slots, so ``outs == ins``.  An output mode that already has a
     slot must be empty in every key, or ModeMismatchError is raised; its
     slot passes to the input mode it replaces, which is now empty.
     """
+    slots, terms, in_modes, out_modes = state._slots, state._terms, t.in_modes, t.out_modes
+    check_photon_budget(max(map(sum, terms), default=0), max_photons)
     fresh = tuple(m for m in in_modes if m not in slots)
     if fresh:
         slots += fresh
@@ -247,15 +248,28 @@ def _element_slots(
     return tuple(table), terms, ins, ins
 
 
+def _finite(terms: dict, label) -> dict:
+    """``terms``, or ValueError naming ``label(key)`` of a non-finite value."""
+    if not all(map(cmath.isfinite, terms.values())):
+        key = next(k for k, a in terms.items() if not cmath.isfinite(a))
+        raise ValueError(f"non-finite amplitude for {label(key)}")
+    return terms
+
+
+def _pruned(terms: Mapping) -> dict:
+    """``terms`` without the amplitudes below PRUNE_EPS in magnitude."""
+    return {k: a for k, a in terms.items() if abs(a) >= PRUNE_EPS}
+
+
 class PhotonState(_SlotTerms):
     """Sparse superposition of Fock basis states.
 
     ``terms`` maps each :class:`BasisState` to a complex amplitude.  The
-    constructor accumulates duplicate keys and prunes amplitudes below
-    ``prune`` in magnitude.  ``ports`` records the port universe: ports
-    mentioned by any term plus any explicitly declared ones, which lets
-    marginals reject typo'd port labels while an undeclared vacuum stays
-    permissive.
+    constructor accumulates duplicate keys, rejects non-finite sums and
+    prunes amplitudes below PRUNE_EPS in magnitude.  ``ports`` records the
+    port universe: ports mentioned by any term plus any explicitly declared
+    ones, which lets marginals reject typo'd port labels while an
+    undeclared vacuum stays permissive.
 
     The engines read ``_slots`` and ``_terms`` (see :class:`_SlotTerms`)
     and build their results with :meth:`_from_slots`.
@@ -268,20 +282,14 @@ class PhotonState(_SlotTerms):
         terms: Mapping[BasisState, complex] | Iterable[tuple[BasisState, complex]] = (),
         *,
         ports: Iterable[str] = (),
-        prune: float | None = PRUNE_EPS,
     ):
         pairs = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[BasisState, complex] = {}
         for bs, amp in pairs:
             if not isinstance(bs, BasisState):
                 bs = BasisState(bs)
-            amp = complex(amp)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                raise ValueError(f"non-finite amplitude for {bs.label()}")
-            acc[bs] = acc.get(bs, 0j) + amp
-        if prune is not None:
-            acc = {bs: a for bs, a in acc.items() if abs(a) >= prune}
-        self._set_basis_terms(acc)
+            acc[bs] = acc.get(bs, 0j) + complex(amp)
+        self._set_basis_terms(_pruned(_finite(acc, BasisState.label)))
         self._ports = frozenset(ports).union(m.port for m in self._slots)
 
     @classmethod
@@ -292,10 +300,9 @@ class PhotonState(_SlotTerms):
         maps count tuples over ``slots`` to complex amplitudes, and ``ports``
         holds the port of every occupied slot.  Non-finite amplitudes raise
         ValueError; amplitudes below PRUNE_EPS are dropped."""
-        if not all(map(cmath.isfinite, terms.values())):
-            key = next(k for k, a in terms.items() if not cmath.isfinite(a))
-            raise ValueError(f"non-finite amplitude for {BasisState(zip(slots, key)).label()}")
-        state = cls._trusted(slots, {k: a for k, a in terms.items() if abs(a) >= PRUNE_EPS})
+        state = cls._trusted(
+            slots, _pruned(_finite(terms, lambda k: BasisState(zip(slots, k)).label()))
+        )
         state._ports = frozenset(ports)
         return state
 
@@ -338,20 +345,49 @@ def normalize(state: PhotonState) -> PhotonState:
 
 
 def _rescaled(state: PhotonState, n2: float) -> PhotonState:
-    """``state`` divided by sqrt(n2), where n2 is its squared norm."""
+    """``state`` divided by sqrt(n2), where n2 is its squared norm.  Every
+    |a|^2 <= n2, so the result needs no finiteness check."""
     if n2 <= 0.0:
         raise NullStateError("cannot normalize a null state")
     scale = 1.0 / math.sqrt(n2)
-    return PhotonState._from_slots(
-        state._slots, {k: a * scale for k, a in state._terms.items()}, state.ports
+    out = PhotonState._trusted(
+        state._slots, _pruned({k: a * scale for k, a in state._terms.items()})
     )
+    out._ports = state.ports
+    return out
+
+
+def _finished(
+    slots: Slots, terms: dict, ports: Iterable[str], modes: Iterable[Mode] = (), *, normalized=True
+) -> PhotonState:
+    """An engine's last step: the state of the amplitudes ``terms`` over
+    ``slots`` (see :meth:`PhotonState._from_slots`), whose ports are
+    ``ports`` plus those of ``modes``.  Its squared norm, taken once, is
+    warned about when off from one by more than 1e-9 and then divided out
+    unless ``normalized`` is false."""
+    state = PhotonState._from_slots(slots, terms, frozenset(ports).union(m.port for m in modes))
+    n2 = state.norm_squared()
+    if abs(n2 - 1.0) > 1e-9:
+        warnings.warn(f"squared norm {n2:.12g} differs from 1", RuntimeWarning, stacklevel=3)
+    return _rescaled(state, n2) if normalized else state
+
+
+def _aligned(a: PhotonState, b: PhotonState) -> tuple[dict, dict]:
+    """The terms of ``a`` and ``b`` keyed over one slot table: ``a``'s slots
+    followed by the slots only ``b`` has."""
+    slots = a._slots + tuple(m for m in b._slots if m not in a._slots)
+    pad = (0,) * (len(slots) - len(a._slots))
+    # each slot's place in a key of b padded with one zero count
+    take = [b._slots.index(m) if m in b._slots else len(b._slots) for m in slots]
+    ta = {k + pad: v for k, v in a._terms.items()}
+    tb = {tuple(map((k + (0,)).__getitem__, take)): v for k, v in b._terms.items()}
+    return ta, tb
 
 
 def inner_product(a: PhotonState, b: PhotonState) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
-    if len(b) < len(a):
-        return inner_product(b, a).conjugate()
-    return complex(sum(amp.conjugate() * b.amplitude(bs) for bs, amp in a))
+    ta, tb = _aligned(a, b)
+    return complex(sum(amp.conjugate() * tb[k] for k, amp in ta.items() if k in tb))
 
 
 def _port_list(state: PhotonState, ports) -> tuple[list[str], bool]:
@@ -391,19 +427,12 @@ def number_distribution(state: PhotonState, ports) -> dict:
 
 def expected_photon_number(state: PhotonState, port: str) -> float:
     """Mean photon count in one port."""
-    _port_list(state, port)
-    return math.fsum(abs(amp) ** 2 * bs.port_total(port) for bs, amp in state)
+    return math.fsum(n * p for n, p in number_distribution(state, port).items())
 
 
 def max_amplitude_difference(a: PhotonState, b: PhotonState) -> float:
-    """Largest |amplitude difference| over the union of both supports,
-    compared over ``a``'s slots followed by the slots only ``b`` has."""
-    slots = a._slots + tuple(m for m in b._slots if m not in a._slots)
-    pad = (0,) * (len(slots) - len(a._slots))
-    # each slot's place in a key of b padded with one zero count
-    take = [b._slots.index(m) if m in b._slots else len(b._slots) for m in slots]
-    ta = {k + pad: v for k, v in a._terms.items()}
-    tb = {tuple(map((k + (0,)).__getitem__, take)): v for k, v in b._terms.items()}
+    """Largest |amplitude difference| over the union of both supports."""
+    ta, tb = _aligned(a, b)
     keys = ta.keys() | tb.keys()
     if not keys:
         return 0.0

@@ -18,7 +18,6 @@ is its public key.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Mapping
 from operator import add
 
@@ -28,10 +27,9 @@ from .fock import (
     Mode,
     PhotonState,
     _SlotTerms,
-    check_photon_budget,
     _element_slots,
-    _rescaled,
-    normalize,  # noqa: F401  (unused here; the benchmark tracer wraps operators.normalize)
+    _finished,
+    normalize,  # noqa: F401  (perfbench/tracer.py wraps it; --trace 1 fails without it)
 )
 
 __all__ = [
@@ -96,20 +94,7 @@ def polynomial_to_state(
     slots = poly._slots
     terms = {k: c * math.sqrt(math.prod(map(math.factorial, k))) for k, c in poly._terms.items()}
     occupied = (m for m, column in zip(slots, zip(*terms)) if any(column))
-    universe = frozenset(ports).union(m.port for m in occupied)
-    return _to_state(slots, terms, universe, normalized)
-
-
-def _to_state(slots, terms: dict, ports, normalized: bool = True) -> PhotonState:
-    """State of the amplitudes ``terms``; its squared norm, taken once, is
-    warned about when off from one by more than 1e-9 and then divided out."""
-    state = PhotonState._from_slots(slots, terms, ports)
-    n2 = state.norm_squared()
-    if abs(n2 - 1.0) > 1e-9:
-        warnings.warn(
-            f"polynomial squared norm {n2:.12g} differs from 1", RuntimeWarning, stacklevel=3
-        )
-    return _rescaled(state, n2) if normalized else state
+    return _finished(slots, terms, ports, occupied, normalized=normalized)
 
 
 def _product(
@@ -151,10 +136,9 @@ def _amplitude_image(matrix, exponents: _Exponents) -> list[tuple[_Exponents, co
     ]
 
 
-def _substitute(slots, terms, t: ModeTransform, image_of):
-    """Slot table after the element, and the terms with ``image_of(t.matrix,
-    exponents)`` of each key's input exponents written over its slots."""
-    slots, terms, ins, outs = _element_slots(slots, terms, t.in_modes, t.out_modes)
+def _substitute(terms, ins, outs, matrix, image_of) -> dict[_Exponents, complex]:
+    """``terms`` with ``image_of(matrix, exponents)`` of each key's input
+    exponents (at slots ``ins``) written over its slots ``outs``."""
     # an element acts on one or two modes, so [0] and [-1] reach all of them
     i1, i2, o1, o2, n = ins[0], ins[-1], outs[0], outs[-1], len(ins)
     image_cache: dict[tuple[int, int], list[tuple[_Exponents, complex]]] = {}
@@ -163,13 +147,13 @@ def _substitute(slots, terms, t: ModeTransform, image_of):
         exponents = (key[i1], key[i2])
         image = image_cache.get(exponents)
         if image is None:
-            image = image_cache[exponents] = image_of(t.matrix, exponents[:n])
+            image = image_cache[exponents] = image_of(matrix, exponents[:n])
         counts = list(key)
         for written, c in image:
             counts[o1], counts[o2] = written[0], written[-1]
             k = tuple(counts)
             out[k] = out.get(k, 0j) + coeff * c
-    return slots, out
+    return out
 
 
 def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPolynomial:
@@ -178,7 +162,8 @@ def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPoly
     The image of a monomial's input exponents is expanded once per exponent
     tuple and written over the element's slots of the monomial.
     """
-    slots, out = _substitute(poly._slots, poly._terms, t, _image)
+    slots, terms, ins, outs = _element_slots(poly, t)
+    out = _substitute(terms, ins, outs, t.matrix, _image)
     return CreationPolynomial._trusted(slots, {k: c for k, c in out.items() if c != 0})
 
 
@@ -190,9 +175,9 @@ def apply_transform(
 ) -> PhotonState:
     """Evolve a state through one element via operator substitution on its
     amplitudes.  ``max_photons``, when given, bounds the photon total of
-    every term.
+    every term.  The result is normalized, with a RuntimeWarning if its
+    squared norm drifted.
     """
-    check_photon_budget(max(map(sum, state._terms), default=0), max_photons)
-    slots, terms = _substitute(state._slots, state._terms, t, _amplitude_image)
-    ports = state.ports.union(m.port for m in t.in_modes + t.out_modes)
-    return _to_state(slots, terms, ports)
+    slots, terms, ins, outs = _element_slots(state, t, max_photons)
+    new = _substitute(terms, ins, outs, t.matrix, _amplitude_image)
+    return _finished(slots, new, state.ports, t.in_modes + t.out_modes)

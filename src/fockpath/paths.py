@@ -19,15 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# paths.unitarity_defect stays importable for callers that wrap it (the
-# benchmark tracer counts unitarity checks there).
+# unitarity_defect and normalize stay importable from here, unused:
+# perfbench/tracer.py wraps both, and its --trace 1 run fails without them.
 from .elements import ModeTransform, require_unitary, unitarity_defect  # noqa: F401
 from .fock import (
     DEFAULT_MAX_PHOTONS,
     PhotonState,
     check_photon_budget,
     _element_slots,
-    normalize,
+    _finished,
+    normalize,  # noqa: F401
 )
 
 __all__ = ["RoutingTrace", "scatter_two_mode", "trace_paths", "apply_transform"]
@@ -154,12 +155,9 @@ def apply_transform(
 
     ``max_photons``, when given, bounds the photon total of every term.
     Only the element's counts of each term change.  The result is
-    normalized.
+    normalized, with a RuntimeWarning if its squared norm drifted.
     """
-    check_photon_budget(max(map(sum, state._terms), default=0), max_photons)
-    slots, terms, ins, outs = _element_slots(
-        state._slots, state._terms, t.in_modes, t.out_modes
-    )
+    slots, terms, ins, outs = _element_slots(state, t, max_photons)
     new: dict[tuple[int, ...], complex] = {}
     if len(ins) == 1:
         # a one-mode element keeps every key: its output slot is its input's
@@ -182,5 +180,4 @@ def apply_transform(
                 counts[o2] = mb
                 nk = tuple(counts)
                 new[nk] = new.get(nk, 0j) + amp * s_amp
-    ports = state.ports.union(m.port for m in t.in_modes + t.out_modes)
-    return normalize(PhotonState._from_slots(slots, new, ports))
+    return _finished(slots, new, state.ports, t.in_modes + t.out_modes)

@@ -244,10 +244,11 @@ def _public_key_difference(a, b):
     return max(abs(ta.get(k, 0j) - tb.get(k, 0j)) for k in keys)
 
 
-def test_max_amplitude_difference_matches_public_key_formula():
-    rng = random.Random(8)
-    cx, dx = Mode("c", "x"), Mode("d", "x")
-    modes = [AX, AY, BX, cx, dx]
+def _random_state_pairs(seed, count):
+    """Pairs of states over random slot orders and mode sets; about a third
+    hold the same terms over a permuted slot table."""
+    rng = random.Random(seed)
+    modes = [AX, AY, BX, Mode("c", "x"), Mode("d", "x")]
 
     def random_state():
         # slots in random order, some of them empty in every term
@@ -258,15 +259,35 @@ def test_max_amplitude_difference_matches_public_key_formula():
         }
         return PhotonState._from_slots(slots, terms, {m.port for m in slots})
 
-    for _ in range(300):
+    for _ in range(count):
         a, b = random_state(), random_state()
-        if rng.random() < 0.3:  # the same terms over a permuted slot table
+        if rng.random() < 0.3:
             order = rng.sample(range(len(a._slots)), len(a._slots))
             slots = tuple(a._slots[i] for i in order)
             terms = {tuple(k[i] for i in order): v for k, v in a._terms.items()}
             b = PhotonState._from_slots(slots, terms, a.ports)
+        yield a, b
+
+
+def test_max_amplitude_difference_matches_public_key_formula():
+    for a, b in _random_state_pairs(8, 300):
         for x, y in ((a, b), (b, a), (a, a)):
             assert max_amplitude_difference(x, y) == _public_key_difference(x, y)
+
+
+def test_inner_product_matches_public_key_formula():
+    for a, b in _random_state_pairs(9, 300):
+        for x, y in ((a, b), (b, a), (a, a)):
+            tx, ty = x.terms, y.terms
+            want = sum(amp.conjugate() * ty.get(bs, 0j) for bs, amp in tx.items())
+            assert inner_product(x, y) == pytest.approx(want, abs=1e-15)
+
+
+def test_expected_photon_number_matches_public_key_formula():
+    for a, _ in _random_state_pairs(10, 300):
+        for port in a.ports:
+            want = math.fsum(abs(amp) ** 2 * bs.port_total(port) for bs, amp in a.terms.items())
+            assert expected_photon_number(a, port) == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 amplitudes = st.complex_numbers(

@@ -268,6 +268,17 @@ def test_apply_transform_rejects_non_finite_amplitude(engine):
         engine.apply_transform(s, make_split50_rbs())
 
 
+@BOTH_ENGINES
+def test_apply_transform_warns_on_unnormalized_input_and_normalizes(engine):
+    # squared norm 4: twice a normalized two-term state
+    s = PhotonState(
+        {BasisState({Mode("1", "x"): 1}): 2 * 0.6, BasisState({Mode("2", "x"): 1}): 2 * 0.8j}
+    )
+    with pytest.warns(RuntimeWarning, match="squared norm 4 differs from 1"):
+        out = engine.apply_transform(s, make_split50_rbs())
+    assert abs(out.norm_squared() - 1.0) < 1e-15
+
+
 REROUTING_TEXT = """\
 port a
 port b
