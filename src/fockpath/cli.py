@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 parse error (message carries line:col), 3 engine
 disagreement, 4 photon budget, state size or truncation failure, 1 anything
-else.  Output is deterministic for fixed inputs and flags; files are
-written in one shot after all computation succeeds, so failures leave no
-partial file.
+else, a bad flag or flag value included (``--help`` exits 0).  Output is
+deterministic for fixed inputs and flags; files are written in one shot
+after all computation succeeds, so failures leave no partial file.
 """
 
 from __future__ import annotations
@@ -57,6 +57,21 @@ def _default_max_photons() -> int:
     if value < 1:
         raise ValueError("FOCKPATH_MAX_PHOTONS must be at least 1")
     return value
+
+
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_cli_complex(text: str) -> complex:
@@ -267,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine", choices=["paths", "operators", "both"], default="both"
     )
-    run.add_argument("--max-photons", type=int, default=None)
+    run.add_argument("--max-photons", type=_int_at_least(1), default=None)
     run.add_argument("--format", choices=["json", "csv"], default="json")
     run.add_argument("--output", help="write to this file instead of stdout")
     run.set_defaults(func=_cmd_run)
@@ -284,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--t", help="splitter tau as RE+IMi")
     trace.add_argument("--phase", type=float, help="wave-plate phase, degrees")
     trace.add_argument("--axis", type=float, default=0.0, help="wave-plate axis, degrees")
-    trace.add_argument("--max-photons", type=int, default=None)
+    trace.add_argument("--max-photons", type=_int_at_least(1), default=None)
     trace.add_argument("--output", help="write to this file instead of stdout")
     trace.set_defaults(func=_cmd_trace)
 
@@ -310,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "check", help="cross-check both engines on randomized circuits"
     )
     check.add_argument("--seed", type=int, default=7)
-    check.add_argument("--count", type=int, default=200)
-    check.add_argument("--max-photons", type=int, default=None)
+    check.add_argument("--count", type=_int_at_least(0), default=200)
+    check.add_argument("--max-photons", type=_int_at_least(1), default=None)
     check.add_argument("--output", help="write to this file instead of stdout")
     check.set_defaults(func=_cmd_check)
 
@@ -320,7 +335,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a bad flag
+        return 0 if exc.code == 0 else 1
     if getattr(args, "max_photons", None) is None and hasattr(args, "max_photons"):
         try:
             args.max_photons = _default_max_photons()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import mul
 
 from .errors import (
@@ -55,8 +56,16 @@ def _as_matrix(rows) -> Matrix:
 
 
 def unitarity_defect(matrix) -> float:
-    """Max-entry deviation of M M^dag from the identity; NaN if any is NaN."""
-    m = _as_matrix(matrix)
+    """Max-entry deviation of M M^dag from the identity; NaN if any is NaN.
+
+    Memoised by matrix value in a 256-entry LRU cache, so the scatter-cache
+    misses that gate an element's matrix again look its defect up.
+    """
+    return _defect(_as_matrix(matrix))
+
+
+@lru_cache(maxsize=256)
+def _defect(m: Matrix) -> float:
     conj = [[v.conjugate() for v in row] for row in m]
     errors = [
         abs(sum(map(mul, row, conj_row)) - (1.0 if i == j else 0.0))

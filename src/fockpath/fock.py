@@ -345,13 +345,15 @@ def normalize(state: PhotonState) -> PhotonState:
 
 
 def _rescaled(state: PhotonState, n2: float) -> PhotonState:
-    """``state`` divided by sqrt(n2), where n2 is its squared norm.  Every
-    |a|^2 <= n2, so the result needs no finiteness check."""
+    """``state`` divided by sqrt(n2), where n2 is its squared norm, and
+    pruned in the same pass.  Every |a|^2 <= n2, so the result needs no
+    finiteness check."""
     if n2 <= 0.0:
         raise NullStateError("cannot normalize a null state")
     scale = 1.0 / math.sqrt(n2)
     out = PhotonState._trusted(
-        state._slots, _pruned({k: a * scale for k, a in state._terms.items()})
+        state._slots,
+        {k: b for k, a in state._terms.items() if abs(b := a * scale) >= PRUNE_EPS},
     )
     out._ports = state.ports
     return out

@@ -77,7 +77,7 @@ def _bessel_asymptotic(x, nu: int):
     """Hankel expansion for large |x|: valid and accurate for |x| >= 12."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    safe = np.where(ax > 0, ax, 1.0)
+    safe = np.where(ax == 0, 1.0, ax)  # NaN stays NaN
     mu = 4.0 * nu * nu
     inv8x = 1.0 / (8.0 * safe)
     # P ~ sum of even terms, Q ~ sum of odd terms of the a_k sequence
@@ -138,8 +138,8 @@ class MirrorGeometry:
 
     def __post_init__(self):
         for name in ("focal_length", "aperture_radius", "wavelength", "z1", "z2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite")
 
     @classmethod
     def imaging(
@@ -424,7 +424,7 @@ def airy_profile(
     """Radial cut of the detection-plane amplitude for an on-axis source.
 
     Samples run from the axis out to r_max (default: three times the first
-    dark-ring radius), evenly spaced.
+    dark-ring radius), evenly spaced; r_max must be finite and non-negative.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
@@ -432,6 +432,8 @@ def airy_profile(
         raise ValueError("a radial profile needs an on-axis source")
     if r_max is None:
         r_max = 3.0 * airy_first_zero_radius(geometry)
+    elif not 0 <= r_max < math.inf:  # also rejects NaN
+        raise ValueError(f"r_max must be finite and non-negative, got {r_max!r}")
     radii = r_max * np.arange(n_samples) / (n_samples - 1)
     amps = _on_axis_amplitudes(radii, geometry, include_aberration)
     return [

@@ -108,46 +108,61 @@ def _product(
     return out
 
 
-def _image(matrix, exponents: _Exponents) -> list[tuple[_Exponents, complex]]:
+def _image(matrix, exponents: _Exponents, powers: dict) -> list[tuple[_Exponents, complex]]:
     """prod_j (sum_i matrix[i][j] b_i^dag)^{e_j}, expanded by iterated
-    multiplication and keyed by the exponents of the output operators b_i."""
+    multiplication and keyed by the exponents of the output operators b_i.
+
+    ``powers`` maps column j to its base and its powers so far, ``column[e]
+    = _product(column[e - 1], base)``; :func:`_substitute` shares one such
+    dict between the exponent tuples of one element.
+    """
     n = len(exponents)
     one = {(0,) * n: 1.0 + 0j}
     image = one
     for j, e in enumerate(exponents):
-        base = {
-            tuple(int(r == i) for r in range(n)): matrix[i][j]
-            for i in range(n)
-            if matrix[i][j] != 0
-        }
-        power = one
-        for _ in range(e):
-            power = _product(power, base)
-        image = _product(image, power)
+        if j not in powers:
+            base = {
+                tuple(int(r == i) for r in range(n)): matrix[i][j]
+                for i in range(n)
+                if matrix[i][j] != 0
+            }
+            powers[j] = (base, [one])
+        base, column = powers[j]
+        while len(column) <= e:
+            column.append(_product(column[-1], base))
+        image = _product(image, column[e])
     return list(image.items())
 
 
-def _amplitude_image(matrix, exponents: _Exponents) -> list[tuple[_Exponents, complex]]:
+def _amplitude_image(
+    matrix, exponents: _Exponents, powers: dict
+) -> list[tuple[_Exponents, complex]]:
     """:func:`_image` times sqrt(prod m!)/sqrt(prod n!): amplitudes to amplitudes."""
     root = math.sqrt(math.prod(map(math.factorial, exponents)))
     return [
         (k, c * math.sqrt(math.prod(map(math.factorial, k))) / root)
-        for k, c in _image(matrix, exponents)
+        for k, c in _image(matrix, exponents, powers)
     ]
 
 
 def _substitute(terms, ins, outs, matrix, image_of) -> dict[_Exponents, complex]:
-    """``terms`` with ``image_of(matrix, exponents)`` of each key's input
-    exponents (at slots ``ins``) written over its slots ``outs``."""
+    """``terms`` with ``image_of(matrix, exponents, powers)`` of each key's
+    input exponents (at slots ``ins``) written over its slots ``outs``.
+
+    Two caches last this one call: the images by exponent tuple, and the
+    column ``powers`` of :func:`_image`, at most the element's photon count
+    per column.
+    """
     # an element acts on one or two modes, so [0] and [-1] reach all of them
     i1, i2, o1, o2, n = ins[0], ins[-1], outs[0], outs[-1], len(ins)
     image_cache: dict[tuple[int, int], list[tuple[_Exponents, complex]]] = {}
+    powers: dict = {}
     out: dict[_Exponents, complex] = {}
     for key, coeff in terms.items():
         exponents = (key[i1], key[i2])
         image = image_cache.get(exponents)
         if image is None:
-            image = image_cache[exponents] = image_of(matrix, exponents[:n])
+            image = image_cache[exponents] = image_of(matrix, exponents[:n], powers)
         counts = list(key)
         for written, c in image:
             counts[o1], counts[o2] = written[0], written[-1]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 # unitarity_defect and normalize stay importable from here, unused:
 # perfbench/tracer.py wraps both, and its --trace 1 run fails without them.
@@ -60,6 +61,21 @@ class RoutingTrace:
         )
 
 
+@lru_cache(maxsize=128)
+def _skeleton(n1: int, n2: int) -> tuple:
+    """:func:`_routings` of |n1, n2> without the matrix: the four powers of
+    each route are given by their exponents."""
+    n, fact = n1 + n2, math.factorial
+    denom = math.sqrt(fact(n1) * fact(n2))
+    return tuple(
+        (ma, math.sqrt(fact(ma) * fact(n - ma)) / denom, tuple(
+            (k, math.comb(n1, k) * math.comb(n2, ma - k), (k, n1 - k, ma - k, n2 - ma + k))
+            for k in range(max(0, ma - n2), min(n1, ma) + 1)
+        ))
+        for ma in range(n + 1)
+    )
+
+
 def _routings(n1: int, n2: int, matrix, max_photons: int | None) -> list:
     """Every photon routing of |n1, n2> through a unitary 2x2 element.
 
@@ -67,7 +83,8 @@ def _routings(n1: int, n2: int, matrix, max_photons: int | None) -> list:
     mode a, ma ascending.  ``routes`` holds ``(k, multiplicity, powers)``
     for each merged routing sending k photons from input 1 and ma - k from
     input 2 to output a; the product of the four matrix-element ``powers``
-    is its bare amplitude.
+    is its bare amplitude.  All but the powers come from :func:`_skeleton`,
+    an LRU cache of 128 (n1, n2) pairs; the matrix is gated on every call.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("photon counts must be non-negative")
@@ -75,21 +92,10 @@ def _routings(n1: int, n2: int, matrix, max_photons: int | None) -> list:
     require_unitary(matrix)
     (maa, mab), (mba, mbb) = matrix
     maa, mab, mba, mbb = complex(maa), complex(mab), complex(mba), complex(mbb)
-    n = n1 + n2
-    fact = math.factorial
-    denom = math.sqrt(fact(n1) * fact(n2))
-    table = []
-    for ma in range(n + 1):
-        routes = [
-            (
-                k,
-                math.comb(n1, k) * math.comb(n2, ma - k),
-                (maa**k, mba ** (n1 - k), mab ** (ma - k), mbb ** (n2 - ma + k)),
-            )
-            for k in range(max(0, ma - n2), min(n1, ma) + 1)
-        ]
-        table.append((ma, math.sqrt(fact(ma) * fact(n - ma)) / denom, routes))
-    return table
+    return [
+        (ma, bose, [(k, m, (maa**a, mba**b, mab**c, mbb**d)) for k, m, (a, b, c, d) in routes])
+        for ma, bose, routes in _skeleton(n1, n2)
+    ]
 
 
 def scatter_two_mode(

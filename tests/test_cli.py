@@ -375,6 +375,13 @@ def test_airy_aberration_lowers_peak(capsys):
     assert 0.98 * area < peak < 0.999 * area
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.001"])
+def test_airy_rejects_bad_rmax(capsys, value):
+    code, out, err = run_main(["airy", "--samples", "4", "--rmax", value], capsys)
+    assert (code, out) == (1, "")
+    assert "r_max" in err
+
+
 # --- check ----------------------------------------------------------------------
 
 
@@ -410,6 +417,35 @@ def test_check_elaborates_each_circuit_once(capsys, elaborated):
     assert code == 0, err
     assert len(elaborated) == 12
     assert len({id(c) for c in elaborated}) == 12
+
+
+# --- usage errors -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--demo", "hom", "--bogus"], "--bogus"),
+        (["check", "--count", "-1"], "--count"),
+        (["run", "--demo", "hom", "--max-photons", "-1"], "--max-photons"),
+        (["check", "--max-photons", "0"], "--max-photons"),
+        (["check", "--count", "many"], "--count"),
+        ([], "required"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, flag):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (1, "")
+    assert flag in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_main(["--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: fockpath")
+    code, out, _ = run_main(["check", "--help"], capsys)
+    assert code == 0
+    assert "--count" in out
 
 
 # --- output files -----------------------------------------------------------------

@@ -22,10 +22,12 @@ from fockpath import (
     make_rbs,
     make_split50_rbs,
     make_waveplate,
+    scatter_two_mode,
     thin_sheet_coefficients,
     unitarity_defect,
 )
-from fockpath.elements import mat2_mul
+from fockpath import circuit, elements
+from fockpath.elements import mat2_mul, require_unitary
 from fockpath.paths import apply_transform
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -121,6 +123,58 @@ def test_unitarity_gate_rejects_nan_matrix():
     assert math.isnan(unitarity_defect(((nan, 0j), (0j, 1.0 + 0j))))
     with pytest.raises(NonUnitaryError):
         make_waveplate(float("inf"), 0.0)
+
+
+# --- memoised defect ------------------------------------------------------------
+
+
+def test_gate_rejects_on_every_call_after_a_unitary_of_the_same_shape():
+    good = make_split50_rbs().matrix
+    nan = float("nan")
+    shared_nan = ((nan, 0j), (0j, 1.0 + 0j))
+    skewed = ((1.0 + 0j, 1.0 + 0j), (0j, 1.0 + 0j))
+    for _ in range(3):
+        require_unitary(good)
+        scatter_two_mode(1, 1, good)
+        for bad in (shared_nan, ((float("nan"), 0j), (0j, 1.0 + 0j)), skewed):
+            with pytest.raises(NonUnitaryError):
+                require_unitary(bad)
+            with pytest.raises(NonUnitaryError):
+                scatter_two_mode(1, 1, bad)
+    assert math.isnan(unitarity_defect(shared_nan))
+    assert unitarity_defect(skewed) == 1.0
+
+
+def test_list_valued_matrices_pass_through_the_gate():
+    tuple_matrix = make_rbs(0.6, 0.8j).matrix
+    list_matrix = [list(row) for row in tuple_matrix]
+    assert unitarity_defect(list_matrix) == unitarity_defect(tuple_matrix)
+    require_unitary(list_matrix)
+    assert scatter_two_mode(2, 1, list_matrix) == scatter_two_mode(2, 1, tuple_matrix)
+    assert unitarity_defect([[1, 0], [0, 1]]) == 0.0
+    with pytest.raises(NonUnitaryError):
+        require_unitary([[1, 1], [0, 1]])
+    with pytest.raises(NonUnitaryError):
+        scatter_two_mode(1, 0, [[1, 1], [0, 1]])
+
+
+def test_mesh_run_computes_each_distinct_defect_once():
+    ports = [f"p{i}" for i in range(4)]
+    lines = [f"port {p}" for p in ports] + ["source p0 fock 1 pol x", "source p2 fock 1 pol x"]
+    for layer in range(3):
+        phase = 20 + 7 * layer
+        lines += [f"waveplate phase={phase} axis={5 * i} on {p}" for i, p in enumerate(ports)]
+        pairs = zip(ports[layer % 2 :: 2], ports[layer % 2 + 1 :: 2])
+        lines += [f"rbs split=50 {a} {b} -> {a} {b}" for a, b in pairs]
+    elements._defect.cache_clear()
+    parsed = circuit.parse_circuit("\n".join(lines) + "\n")
+    circuit.run_circuit(parsed, engine="both")
+    distinct = {t.matrix for t, _ in parsed.bound}
+    info = elements._defect.cache_info()
+    # one computation per distinct matrix; every later gate is a lookup,
+    # the scatter misses' included (gates beyond one per element)
+    assert info.misses == len(distinct) < len(parsed.bound)
+    assert info.hits + info.misses > len(parsed.bound)
 
 
 def test_inverse_round_trips_matrix():

@@ -109,6 +109,15 @@ def test_bessel_array_input():
     assert isinstance(bessel_j1(1.0), float)
 
 
+def test_bessel_returns_nan_for_nan():
+    nan = float("nan")
+    for fn in (bessel_j0, bessel_j1):
+        assert math.isnan(fn(nan))
+        vals = fn(np.array([1.0, nan, 20.0, -nan]))
+        assert np.isnan(vals).tolist() == [False, True, False, True]
+        assert vals[0] == fn(1.0) and vals[2] == fn(20.0)
+
+
 def test_bessel_branch_seam_is_continuous():
     # the evaluator switches from series to asymptotic at |x| = 12;
     # |J'| <= 1 bounds how much nearby values may differ
@@ -138,6 +147,15 @@ def test_geometry_validation():
         MirrorGeometry(focal_length=0.0, aperture_radius=0.01, wavelength=1e-6, z1=1, z2=1)
     with pytest.raises(ValueError):
         MirrorGeometry(focal_length=0.2, aperture_radius=-1, wavelength=1e-6, z1=1, z2=1)
+
+
+@pytest.mark.parametrize("name", ["focal_length", "aperture_radius", "wavelength", "z1", "z2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_geometry_rejects_non_finite_lengths(name, bad):
+    lengths = dict(focal_length=0.2, aperture_radius=0.01, wavelength=0.5e-6, z1=0.4, z2=0.4)
+    MirrorGeometry(**lengths)
+    with pytest.raises(ValueError, match=name):
+        MirrorGeometry(**{**lengths, name: bad})
 
 
 def test_geometry_derived_quantities():
@@ -338,10 +356,12 @@ def test_quadrature_flags_non_convergence():
 
 @pytest.mark.parametrize("source", [(0.0, 0.0), (1e-6, 0.0)])
 def test_quadrature_never_settles_on_nan(source):
+    # the geometry rejects infinite lengths, but a subnormal wavelength
+    # still overflows the wavenumber to inf and every phase factor to NaN
     g = MirrorGeometry(
         focal_length=0.2,
-        aperture_radius=math.inf,
-        wavelength=0.5e-6,
+        aperture_radius=0.01,
+        wavelength=5e-310,
         z1=0.4,
         z2=0.4,
         source=source,
@@ -441,6 +461,17 @@ def test_profile_monotone_to_first_zero():
     mags = [abs(s.amplitude) for s in samples]
     for a, b in zip(mags, mags[1:]):
         assert b < a
+
+
+@pytest.mark.parametrize("r_max", [math.nan, math.inf, -1e-6])
+def test_profile_rejects_bad_outer_radius(r_max):
+    with pytest.raises(ValueError, match="r_max"):
+        airy_profile(desk_geometry(), n_samples=4, r_max=r_max)
+
+
+def test_profile_accepts_zero_outer_radius():
+    samples = airy_profile(desk_geometry(), n_samples=3, r_max=0.0)
+    assert [s.position for s in samples] == [0.0, 0.0, 0.0]
 
 
 def test_profile_needs_two_samples():

@@ -1,5 +1,6 @@
 """Creation-operator engine: polynomial round trips, substitution, inverses."""
 
+import itertools
 import math
 import random
 import warnings
@@ -125,6 +126,44 @@ def test_substitution_then_inverse_restores_polynomial():
         back = substitute_modes(substitute_modes(poly, t), t.inverse())
         for key, coeff in poly.terms.items():
             assert abs(back.coefficient(key) - coeff) < 1e-12
+
+
+def _image_reference(matrix, exponents):
+    """Each column power expanded from scratch, with no shared powers."""
+    n = len(exponents)
+    one = {(0,) * n: 1.0 + 0j}
+    image = one
+    for j, e in enumerate(exponents):
+        base = {
+            tuple(int(r == i) for r in range(n)): matrix[i][j]
+            for i in range(n)
+            if matrix[i][j] != 0
+        }
+        power = one
+        for _ in range(e):
+            power = operators._product(power, base)
+        image = operators._product(image, power)
+    return list(image.items())
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        make_rbs(0.6, 0.8j).matrix,
+        make_waveplate(0.7, 0.3).matrix,
+        make_pbs(0.0).matrix,
+        make_phase_shifter(1.1).matrix,
+    ],
+)
+def test_image_with_shared_powers_matches_fresh_expansion(matrix):
+    n = len(matrix)
+    tuples = [t for t in itertools.product(range(5), repeat=n) if sum(t) <= 4]
+    for order in (tuples, tuples[::-1], random.Random(2).sample(tuples, len(tuples))):
+        powers = {}
+        for exponents in order:
+            got = operators._image(matrix, exponents, powers)
+            # repr tells -0.0 from 0.0, so this is equality bit for bit
+            assert repr(got) == repr(_image_reference(matrix, exponents)), exponents
 
 
 def test_untouched_operators_pass_through():

@@ -149,6 +149,40 @@ def test_routing_rejects_nan_matrix(route):
         route(1, 0, ((nan, nan), (nan, nan)))
 
 
+def _routings_reference(n1, n2, matrix):
+    """The routing table computed afresh, without the memoised skeleton."""
+    (maa, mab), (mba, mbb) = matrix
+    n, fact = n1 + n2, math.factorial
+    denom = math.sqrt(fact(n1) * fact(n2))
+    return [
+        (
+            ma,
+            math.sqrt(fact(ma) * fact(n - ma)) / denom,
+            [
+                (
+                    k,
+                    math.comb(n1, k) * math.comb(n2, ma - k),
+                    (maa**k, mba ** (n1 - k), mab ** (ma - k), mbb ** (n2 - ma + k)),
+                )
+                for k in range(max(0, ma - n2), min(n1, ma) + 1)
+            ],
+        )
+        for ma in range(n + 1)
+    ]
+
+
+def test_routings_match_the_fresh_formula_bit_for_bit():
+    rng = random.Random(8)
+    matrices = [random_unitary2(rng) for _ in range(3)]
+    matrices += [make_split50_rbs().matrix, ((0j, 1 + 0j), (1 + 0j, 0j))]
+    for matrix in matrices:
+        for n in range(9):
+            for n1 in range(n + 1):
+                got = paths._routings(n1, n - n1, matrix, None)
+                want = _routings_reference(n1, n - n1, matrix)
+                assert repr(got) == repr(want), (n1, n - n1, matrix)
+
+
 def test_scatter_rejects_budget_overrun():
     m = make_split50_rbs().matrix
     with pytest.raises(PhotonBudgetError):
