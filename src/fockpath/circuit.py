@@ -35,6 +35,7 @@ from . import fock, operators, paths
 from .coherent import CoherentParams, coherent_state, default_truncation
 from .elements import (
     ModeTransform,
+    _validate_rbs_coefficients,
     make_pbs,
     make_phase_shifter,
     make_polarization_rotation,
@@ -348,7 +349,7 @@ def _parse_rbs(line: _Line, declared: set[str]) -> RbsStmt:
         tau = _parse_cplx(value, line.number, tcol)
         split50 = False
         try:
-            make_rbs(rho, tau)
+            _validate_rbs_coefficients(rho, tau)
         except EnergyConservationError as exc:
             raise ParseError(f"splitter energy conservation: {exc}", line.number, rcol) from exc
         except PhaseRelationError as exc:
@@ -627,7 +628,8 @@ def initial_state(circuit: Circuit, max_photons: int = DEFAULT_MAX_PHOTONS) -> P
         )
     states = [make_source(s.spec, s.port, max_photons=max_photons) for s in circuit.sources]
     # the vacuum factor declares every circuit port on the product
-    return tensor_product(PhotonState.vacuum(circuit.ports), *states)
+    state = tensor_product(PhotonState.vacuum(circuit.ports), *states)
+    return _within_max_terms(state, "the initial state")
 
 
 @dataclass(frozen=True)
@@ -638,17 +640,25 @@ class RunResult:
     discrepancy: float | None = None
 
 
-def _evolve(state: PhotonState, bound, engine, max_photons: int) -> PhotonState:
+def _within_max_terms(state: PhotonState, what: str) -> PhotonState:
+    """``state``, or PhotonBudgetError naming it as ``what`` if it has more
+    than ``fock.MAX_TERMS`` terms."""
+    if len(state) > fock.MAX_TERMS:
+        raise PhotonBudgetError(
+            f"{what} has {len(state)} terms, more than the maximum of {fock.MAX_TERMS}"
+        )
+    return state
+
+
+def _evolve(state: PhotonState, bound, engine) -> PhotonState:
+    """Apply each bound element in turn.  No element changes the photon
+    total of a term, so the budget ``initial_state`` checked still holds."""
     for transform, line in bound:
         try:
-            state = engine.apply_transform(state, transform, max_photons=max_photons)
+            state = engine.apply_transform(state, transform)
         except FockPathError as exc:
             raise type(exc)(f"line {line}: {exc}") from exc
-        if len(state) > fock.MAX_TERMS:
-            raise PhotonBudgetError(
-                f"line {line}: the state has {len(state)} terms, more than the "
-                f"maximum of {fock.MAX_TERMS}"
-            )
+        _within_max_terms(state, f"line {line}: the state")
     return state
 
 
@@ -657,9 +667,8 @@ def _run_engines(
 ) -> tuple[PhotonState, float | None]:
     """Evolve the circuit on each named engine; return the first engine's
     final state and, for two engines, their max amplitude difference."""
-    maxp = DEFAULT_MAX_PHOTONS if max_photons is None else max_photons
-    start = initial_state(circuit, maxp)
-    states = [_evolve(start, circuit.bound, _ENGINES[name], maxp) for name in names]
+    start = initial_state(circuit, DEFAULT_MAX_PHOTONS if max_photons is None else max_photons)
+    states = [_evolve(start, circuit.bound, _ENGINES[name]) for name in names]
     discrepancy = max_amplitude_difference(*states) if len(states) == 2 else None
     return states[0], discrepancy
 

@@ -5,6 +5,10 @@ disagreement, 4 photon budget, state size or truncation failure, 1 anything
 else, a bad flag or flag value included (``--help`` exits 0).  Output is
 deterministic for fixed inputs and flags; files are written in one shot
 after all computation succeeds, so failures leave no partial file.
+
+``run`` and ``trace`` take the photon budget from ``--max-photons`` or
+``FOCKPATH_MAX_PHOTONS`` and check it where photons enter; ``run`` checks
+the initial state and each element's output against ``fock.MAX_TERMS``.
 """
 
 from __future__ import annotations
@@ -249,7 +253,7 @@ def _cmd_check(args) -> int:
     for _ in range(args.count):
         text = random_circuit_text(rng, max_photons=4, max_elements=4)
         circuit = parse_circuit(text)
-        disc = cross_check(circuit, max_photons=args.max_photons)
+        disc = cross_check(circuit)
         if disc > worst:
             worst = disc
             worst_text = text
@@ -326,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--seed", type=int, default=7)
     check.add_argument("--count", type=_int_at_least(0), default=200)
-    check.add_argument("--max-photons", type=_int_at_least(1), default=None)
     check.add_argument("--output", help="write to this file instead of stdout")
     check.set_defaults(func=_cmd_check)
 
@@ -339,7 +342,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a bad flag
         return 0 if exc.code == 0 else 1
-    if getattr(args, "max_photons", None) is None and hasattr(args, "max_photons"):
+    if hasattr(args, "max_photons") and args.max_photons is None:
         try:
             args.max_photons = _default_max_photons()
         except ValueError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -110,7 +110,6 @@ class ModeTransform:
     out_modes: tuple[Mode, ...]
     matrix: Matrix
     kind: str = "custom"
-    params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "in_modes", tuple(self.in_modes))
@@ -144,7 +143,6 @@ class ModeTransform:
             out_modes=self.in_modes,
             matrix=adj,
             kind=f"{self.kind}_inverse",
-            params=dict(self.params),
         )
 
 
@@ -202,7 +200,6 @@ def make_rbs(
         out_modes=out_modes,
         matrix=((rho, tau), (tau, rho)),
         kind="rbs",
-        params={"rho": rho, "tau": tau},
     )
 
 
@@ -247,7 +244,6 @@ def make_pbs(
         out_modes=(Mode(transmitted_port, out_axes[0]), Mode(reflected_port, out_axes[1])),
         matrix=rotation_matrix(theta),
         kind="pbs",
-        params={"theta": theta},
     )
 
 
@@ -274,7 +270,6 @@ def make_waveplate(
         out_modes=modes,
         matrix=matrix,
         kind="waveplate",
-        params={"phase": phase, "axis": axis},
     )
 
 
@@ -295,7 +290,6 @@ def make_polarization_rotation(
         out_modes=modes,
         matrix=rotation_matrix(theta),
         kind="rotpol",
-        params={"theta": theta},
     )
 
 
@@ -306,7 +300,6 @@ def make_phase_shifter(phase: float, *, mode: Mode = Mode("1", "x")) -> ModeTran
         out_modes=(mode,),
         matrix=((cmath.exp(1j * phase),),),
         kind="phase",
-        params={"phase": phase},
     )
 
 

@@ -211,11 +211,9 @@ class _SlotTerms:
         return len(self._terms)
 
 
-def _element_slots(
-    state: _SlotTerms, t, max_photons: int | None = None
-) -> tuple[Slots, Mapping[Counts, complex], Counts, Counts]:
+def _element_slots(state: _SlotTerms, t) -> tuple[Slots, Mapping[Counts, complex], Counts, Counts]:
     """An engine's first step through the element ``t`` (a ModeTransform):
-    check ``state``'s photon budget, then find the slot table after ``t``.
+    find the slot table after ``t``.
 
     Returns ``(table, terms, ins, outs)``.  An input mode missing from the
     state's slots first gets a zero slot, and ``terms`` comes back keyed
@@ -228,7 +226,6 @@ def _element_slots(
     slot passes to the input mode it replaces, which is now empty.
     """
     slots, terms, in_modes, out_modes = state._slots, state._terms, t.in_modes, t.out_modes
-    check_photon_budget(max(map(sum, terms), default=0), max_photons)
     fresh = tuple(m for m in in_modes if m not in slots)
     if fresh:
         slots += fresh

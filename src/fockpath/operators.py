@@ -182,17 +182,11 @@ def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPoly
     return CreationPolynomial._trusted(slots, {k: c for k, c in out.items() if c != 0})
 
 
-def apply_transform(
-    state: PhotonState,
-    t: ModeTransform,
-    *,
-    max_photons: int | None = None,
-) -> PhotonState:
+def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
     """Evolve a state through one element via operator substitution on its
-    amplitudes.  ``max_photons``, when given, bounds the photon total of
-    every term.  The result is normalized, with a RuntimeWarning if its
+    amplitudes.  The result is normalized, with a RuntimeWarning if its
     squared norm drifted.
     """
-    slots, terms, ins, outs = _element_slots(state, t, max_photons)
+    slots, terms, ins, outs = _element_slots(state, t)
     new = _substitute(terms, ins, outs, t.matrix, _amplitude_image)
     return _finished(slots, new, state.ports, t.in_modes + t.out_modes)

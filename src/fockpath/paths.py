@@ -151,19 +151,14 @@ def trace_paths(
     return traces
 
 
-def apply_transform(
-    state: PhotonState,
-    t: ModeTransform,
-    *,
-    max_photons: int | None = None,
-) -> PhotonState:
+def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
     """Evolve a state through one element by summing photon routings.
 
-    ``max_photons``, when given, bounds the photon total of every term.
-    Only the element's counts of each term change.  The result is
-    normalized, with a RuntimeWarning if its squared norm drifted.
+    Only the element's counts of each term change, and their photon total
+    is kept.  The result is normalized, with a RuntimeWarning if its squared
+    norm drifted.
     """
-    slots, terms, ins, outs = _element_slots(state, t, max_photons)
+    slots, terms, ins, outs = _element_slots(state, t)
     new: dict[tuple[int, ...], complex] = {}
     if len(ins) == 1:
         # a one-mode element keeps every key: its output slot is its input's

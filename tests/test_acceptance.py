@@ -245,7 +245,7 @@ def test_criterion_09_coherent_beams_stay_coherent():
         coherent_state(CoherentParams(g2, 40), Mode("2", "x")),
     )
     rbs = make_split50_rbs()
-    out = apply_transform(start, rbs, max_photons=80)
+    out = apply_transform(start, rbs)
     g3, g4 = rbs_coherent_output(g1, g2, INV_SQRT2, 1j * INV_SQRT2)
     fid = coherent_fidelity(
         out,

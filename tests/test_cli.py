@@ -132,6 +132,18 @@ def test_run_state_size_guard_exits_4(tmp_path, capsys, monkeypatch, engine):
     assert "line 5: the state has 4 terms, more than the maximum of 3" in err
 
 
+def test_run_initial_state_size_guard_exits_4(tmp_path, capsys, monkeypatch):
+    # a 3-photon 45-degree source alone gives four terms, with no element to run
+    f = tmp_path / "wide.fpc"
+    f.write_text("port a\nsource a linpol angle=45 n=3\n")
+    monkeypatch.setattr(fockpath.fock, "MAX_TERMS", 4)
+    assert run_main(["run", str(f)], capsys)[0] == 0
+    monkeypatch.setattr(fockpath.fock, "MAX_TERMS", 3)
+    code, out, err = run_main(["run", str(f)], capsys)
+    assert (code, out) == (4, "")
+    assert "the initial state has 4 terms, more than the maximum of 3" in err
+
+
 def test_run_arithmetic_overflow_exits_1(capsys, monkeypatch):
     def overflow(*args, **kwargs):
         raise OverflowError("(34, 'Numerical result out of range')")
@@ -198,8 +210,8 @@ def test_env_var_rejects_garbage(capsys, monkeypatch):
 def test_engine_disagreement_exit_code(capsys, monkeypatch):
     real_apply = fockpath.operators.apply_transform
 
-    def skewed(state, transform, *, max_photons=None):
-        out = real_apply(state, transform, max_photons=max_photons)
+    def skewed(state, transform):
+        out = real_apply(state, transform)
         terms = {bs: amp * (1.0 + 1e-6) for bs, amp in out}
         return PhotonState(terms, ports=out.ports)
 
@@ -431,6 +443,7 @@ def test_check_elaborates_each_circuit_once(capsys, elaborated):
         (["check", "--max-photons", "0"], "--max-photons"),
         (["check", "--count", "many"], "--count"),
         ([], "required"),
+        (["check", "--max-photons", "8"], "unrecognized arguments: --max-photons"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv, flag):

@@ -3,7 +3,8 @@
 Each engine runs on its own.  The reference composes the bound elements
 into one unitary over the circuit's modes: Fock amplitudes then follow from
 permanents of its submatrices (the brute-force permanent of
-``test_paths``), and coherent beams move classically as U gamma.
+``test_paths``), and coherent beams move classically as U gamma.  Every
+element must also keep each photon-number sector and its mass.
 """
 
 import itertools
@@ -21,6 +22,7 @@ from fockpath import (
     elaborate,
     initial_state,
     parse_circuit,
+    random_circuit_text,
 )
 from fockpath import operators, paths
 from test_paths import permanent
@@ -60,10 +62,10 @@ def composed_unitary(bound, modes):
     return total
 
 
-def evolve(circuit, engine, max_photons=8):
-    state = initial_state(circuit, max_photons)
+def evolve(circuit, engine):
+    state = initial_state(circuit)
     for t, _ in elaborate(circuit):
-        state = ENGINES[engine](state, t, max_photons=max_photons)
+        state = ENGINES[engine](state, t)
     return state
 
 
@@ -125,3 +127,37 @@ def test_coherent_mesh_moves_beams_classically(engine):
         for m, g in zip(modes, gamma_out)
     }
     assert coherent_fidelity(state, targets) >= 1.0 - 1e-8
+
+
+def sector_masses(state):
+    """Probability mass by photon number."""
+    masses = {}
+    for bs, amp in state:
+        masses[bs.total] = masses.get(bs.total, 0.0) + abs(amp) ** 2
+    return masses
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_elements_keep_photon_number_sectors(engine):
+    """No element changes a term's photon total, so the budget that
+    ``initial_state`` checks holds through the whole run."""
+    rng = random.Random(2026)
+    texts = [random_circuit_text(rng, max_photons=4, max_elements=4) for _ in range(150)]
+    sources = [
+        "source p0 coherent re=0.02 im=0 pol x",
+        "source p1 coherent re=0 im=0.02 pol y",
+    ]
+    texts.append(mesh_text(rng, ports=4, layers=4, sources=sources, phases=True))
+    widest = 0
+    for text in texts:
+        circuit = parse_circuit(text)
+        state = initial_state(circuit)
+        for t, line in circuit.bound:
+            before = sector_masses(state)
+            state = ENGINES[engine](state, t)
+            after = sector_masses(state)
+            assert set(after) <= set(before), (text, line)
+            for n, mass in before.items():
+                assert abs(after.get(n, 0.0) - mass) <= 1e-12, (text, line, n)
+            widest = max(widest, len(before))
+    assert widest >= 5  # the coherent mesh spans several sectors

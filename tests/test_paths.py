@@ -281,15 +281,6 @@ def test_apply_transform_rejects_occupied_output_modes(engine):
 
 
 @BOTH_ENGINES
-def test_apply_transform_budget_check(engine):
-    t = make_split50_rbs()
-    s = PhotonState({BasisState({Mode("1", "x"): 3, Mode("2", "x"): 2}): 1.0})
-    with pytest.raises(PhotonBudgetError, match="5 photons exceed the configured maximum of 4"):
-        engine.apply_transform(s, t, max_photons=4)
-    assert len(engine.apply_transform(s, t, max_photons=5)) == 6
-
-
-@BOTH_ENGINES
 def test_apply_transform_rejects_non_finite_amplitude(engine):
     # both photons reach output 3.x in phase: 2 * 1.7e308 / sqrt(2) overflows
     s = PhotonState(
