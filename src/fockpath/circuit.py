@@ -48,6 +48,7 @@ from .errors import (
     EngineDisagreementError,
     FockPathError,
     ModeMismatchError,
+    NonUnitaryError,
     ParseError,
     PhaseRelationError,
     PhotonBudgetError,
@@ -354,6 +355,8 @@ def _parse_rbs(line: _Line, declared: set[str]) -> RbsStmt:
             raise ParseError(f"splitter energy conservation: {exc}", line.number, rcol) from exc
         except PhaseRelationError as exc:
             raise ParseError(f"splitter phase relation: {exc}", line.number, rcol) from exc
+        except NonUnitaryError as exc:
+            raise ParseError(f"splitter unitarity: {exc}", line.number, rcol) from exc
     ins = _parse_port_pair(line, declared)
     _keyword(line, "->")
     outs = _parse_port_pair(line, declared)
@@ -699,9 +702,9 @@ def run_circuit(
     )
 
 
-def cross_check(circuit: Circuit, *, max_photons: int | None = None) -> float:
+def cross_check(circuit: Circuit) -> float:
     """Max amplitude difference between the two engines on this circuit."""
-    return _run_engines(circuit, tuple(_ENGINES), max_photons)[1]
+    return _run_engines(circuit, tuple(_ENGINES), None)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -154,20 +154,25 @@ def _magnitude(z: complex) -> float:
         return math.inf
 
 
-def _validate_rbs_coefficients(rho: complex, tau: complex, tol: float = UNITARY_TOL):
+def _validate_rbs_coefficients(rho: complex, tau: complex):
+    """Gate a splitter's coefficients as :func:`make_rbs` documents, then
+    its matrix as every element is gated: a coefficient at most UNITARY_TOL
+    in magnitude skips the phase check, yet its cross term 2|rho||tau|cos(dphi)
+    can still exceed UNITARY_TOL (NonUnitaryError)."""
     r, t = _magnitude(rho), _magnitude(tau)
     total = r * r + t * t  # inf, not OverflowError
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > UNITARY_TOL:
         raise EnergyConservationError(
             f"|rho|^2 + |tau|^2 = {total:.12g} must equal 1"
         )
-    if abs(rho) > tol and abs(tau) > tol:
+    if abs(rho) > UNITARY_TOL and abs(tau) > UNITARY_TOL:
         diff = math.remainder(cmath.phase(tau) - cmath.phase(rho), math.tau)
-        if abs(abs(diff) - math.pi / 2) > tol:
+        if abs(abs(diff) - math.pi / 2) > UNITARY_TOL:
             raise PhaseRelationError(
                 "arg(tau) - arg(rho) must be +-90 degrees, got "
                 f"{math.degrees(diff):.6g} degrees"
             )
+    require_unitary(((rho, tau), (tau, rho)))
 
 
 def _default_modes(pol: str = "x"):

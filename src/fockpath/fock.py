@@ -16,6 +16,7 @@ import json
 import math
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import ModeMismatchError, NullStateError, PhotonBudgetError, UnknownPortError
@@ -116,6 +117,14 @@ class BasisState:
         self._items = tuple(sorted(acc.items()))
         self._hash = hash(self._items)
 
+    @classmethod
+    def _trusted(cls, items: tuple[tuple[Mode, int], ...]) -> "BasisState":
+        """Constructor that checks nothing: ``items`` must be the distinct
+        modes with their positive counts, sorted by mode."""
+        obj = object.__new__(cls)
+        obj._items, obj._hash = items, hash(items)
+        return obj
+
     def items(self) -> tuple[tuple[Mode, int], ...]:
         return self._items
 
@@ -195,7 +204,14 @@ class _SlotTerms:
 
     @property
     def terms(self) -> dict[BasisState, complex]:
-        return {BasisState(zip(self._slots, k)): v for k, v in self._terms.items()}
+        slots = self._slots
+        order = sorted(range(len(slots)), key=slots.__getitem__)
+        modes = [slots[i] for i in order]
+        keys = []
+        for k in self._terms:
+            counts = [k[i] for i in order]
+            keys.append(BasisState._trusted(tuple(compress(zip(modes, counts), counts))))
+        return dict(zip(keys, self._terms.values()))
 
     def _lookup(self, key: BasisState | Mapping[Mode, int]) -> complex:
         if not isinstance(key, BasisState):
@@ -269,7 +285,7 @@ class PhotonState(_SlotTerms):
     undeclared vacuum stays permissive.
 
     The engines read ``_slots`` and ``_terms`` (see :class:`_SlotTerms`)
-    and build their results with :meth:`_from_slots`.
+    and build their results with :func:`_finished`.
     """
 
     __slots__ = ("_ports",)
@@ -325,7 +341,7 @@ class PhotonState(_SlotTerms):
         return math.fsum([abs(a) ** 2 for a in self._terms.values()])
 
     def sorted_terms(self) -> list[tuple[BasisState, complex]]:
-        return sorted(self.terms.items())
+        return sorted(self.terms.items(), key=lambda term: term[0]._items)
 
     def __iter__(self):
         return iter(self.terms.items())
@@ -360,15 +376,40 @@ def _finished(
     slots: Slots, terms: dict, ports: Iterable[str], modes: Iterable[Mode] = (), *, normalized=True
 ) -> PhotonState:
     """An engine's last step: the state of the amplitudes ``terms`` over
-    ``slots`` (see :meth:`PhotonState._from_slots`), whose ports are
-    ``ports`` plus those of ``modes``.  Its squared norm, taken once, is
-    warned about when off from one by more than 1e-9 and then divided out
-    unless ``normalized`` is false."""
-    state = PhotonState._from_slots(slots, terms, frozenset(ports).union(m.port for m in modes))
-    n2 = state.norm_squared()
+    ``slots``, whose ports are ``ports`` plus those of ``modes``.
+
+    The magnitudes are taken once.  Amplitudes below PRUNE_EPS are dropped,
+    and the squared norm is the fsum of the kept |a|^2; a non-finite
+    amplitude raises ValueError, as in :meth:`PhotonState._from_slots`.  A
+    squared norm off from one by more than 1e-9 is warned about, and unless
+    ``normalized`` is false it is divided out (see :func:`_rescaled`).  A new
+    dict is built only where pruning or rescaling changes a term, so the
+    state may keep ``terms`` itself.
+    """
+    try:
+        mags = list(map(abs, terms.values()))
+        if mags and min(mags) < PRUNE_EPS:
+            # "not m < eps" keeps NaN, which the fsum below then reports
+            terms = {k: a for (k, a), m in zip(terms.items(), mags) if not m < PRUNE_EPS}
+            mags = [m for m in mags if not m < PRUNE_EPS]
+        n2 = math.fsum([m**2 for m in mags])
+    except OverflowError:  # from a huge finite |a|; a non-finite one is reported first
+        _finite(terms, lambda k: BasisState(zip(slots, k)).label())
+        raise
+    if not math.isfinite(n2):
+        _finite(terms, lambda k: BasisState(zip(slots, k)).label())
     if abs(n2 - 1.0) > 1e-9:
         warnings.warn(f"squared norm {n2:.12g} differs from 1", RuntimeWarning, stacklevel=3)
-    return _rescaled(state, n2) if normalized else state
+    state = PhotonState._trusted(slots, terms)
+    state._ports = frozenset(ports).union(m.port for m in modes)
+    # Skipping a rescale by exactly 1.0 is bit-identical: a * 1.0 == a, sign
+    # of zero included, for every finite complex a without a -0.0 component.
+    # Engine terms have none, since every engine sum starts from 0j and
+    # 0.0 + x is -0.0 only when both are.  A hand-built polynomial passed to
+    # polynomial_to_state may have one; then only the sign of a zero differs.
+    if normalized and (n2 <= 0.0 or 1.0 / math.sqrt(n2) != 1.0):
+        state = _rescaled(state, n2)
+    return state
 
 
 def _aligned(a: PhotonState, b: PhotonState) -> tuple[dict, dict]:

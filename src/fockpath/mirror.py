@@ -62,29 +62,25 @@ _MAX_GRID_POINTS = 256 * 256
 
 
 def _bessel_series(x, nu: int):
-    """Ascending series sum_m (-1)^m (x/2)^{2m+nu} / (m! (m+nu)!)."""
-    x = np.asarray(x, dtype=float)
+    """Ascending series sum_m (-1)^m (x/2)^{2m+nu} / (m! (m+nu)!), of a
+    float or elementwise of an array."""
     q = 0.25 * x * x
-    term = np.ones_like(x) if nu == 0 else 0.5 * x
-    total = term.copy()
+    term = 0.0 * x + 1.0 if nu == 0 else 0.5 * x
+    total = term * 1.0  # a copy, which += then updates in place
     for m in range(1, _SERIES_TERMS):
         term = term * (-q) / (m * (m + nu))
         total += term
     return total
 
 
-def _bessel_asymptotic(x, nu: int):
-    """Hankel expansion for large |x|: valid and accurate for |x| >= 12."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    safe = np.where(ax == 0, 1.0, ax)  # NaN stays NaN
+def _bessel_asymptotic(ax, nu: int, xp):
+    """Hankel expansion at ax = |x| >= 12, of a float (``xp`` is ``math``)
+    or elementwise of an array (``xp`` is numpy).  The caller restores the
+    sign of J1 at negative x."""
     mu = 4.0 * nu * nu
-    inv8x = 1.0 / (8.0 * safe)
+    inv8x = 1.0 / (8.0 * ax)
     # P ~ sum of even terms, Q ~ sum of odd terms of the a_k sequence
-    p = np.ones_like(safe)
-    q = np.zeros_like(safe)
-    term = np.ones_like(safe)
-    sign = 1.0
+    p, q, term, sign = 1.0, 0.0, 1.0, 1.0
     for k in range(1, 2 * _ASYMPTOTIC_TERMS):
         term = term * (mu - (2 * k - 1) ** 2) * inv8x / k
         if k % 2 == 1:
@@ -92,17 +88,18 @@ def _bessel_asymptotic(x, nu: int):
         else:
             p += -sign * term
             sign = -sign
-    chi = safe - (0.5 * nu + 0.25) * math.pi
-    val = np.sqrt(2.0 / (math.pi * safe)) * (
-        np.cos(chi) * p - np.sin(chi) * q
-    )
-    if nu == 1:
-        # J1 is odd; the series above used |x|
-        val = np.where(x < 0, -val, val)
-    return val
+    chi = ax - (0.5 * nu + 0.25) * math.pi
+    return xp.sqrt(2.0 / (math.pi * ax)) * (xp.cos(chi) * p - xp.sin(chi) * q)
 
 
 def _bessel(x, nu: int):
+    # a finite Python number takes the same steps on floats, without numpy
+    if isinstance(x, (int, float)) and math.isfinite(x):
+        x = float(x)
+        if abs(x) <= _SERIES_CUTOFF:
+            return _bessel_series(x, nu)
+        val = _bessel_asymptotic(abs(x), nu, math)
+        return -val if nu == 1 and x < 0 else val
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -111,7 +108,9 @@ def _bessel(x, nu: int):
     if small.any():
         out[small] = _bessel_series(arr[small], nu)
     if (~small).any():
-        out[~small] = _bessel_asymptotic(arr[~small], nu)
+        big = arr[~small]  # NaN included: it stays NaN
+        val = _bessel_asymptotic(np.abs(big), nu, np)
+        out[~small] = np.where(big < 0, -val, val) if nu == 1 else val
     return float(out[0]) if scalar else out
 
 

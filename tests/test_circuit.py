@@ -21,6 +21,7 @@ from fockpath import (
     run_circuit,
     serialize_circuit,
 )
+from fockpath import operators, paths
 from fockpath.circuit import DEMO_CIRCUITS, Circuit, elaborate
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -381,6 +382,32 @@ def test_cross_check_is_the_both_engine_discrepancy():
     for _ in range(40):
         circuit = parse_circuit(random_circuit_text(rng, max_photons=4, max_elements=5))
         assert cross_check(circuit) == run_circuit(circuit).discrepancy
+
+
+def _has_negative_zero(amp: complex) -> bool:
+    return any(x == 0.0 and math.copysign(1.0, x) < 0 for x in (amp.real, amp.imag))
+
+
+@pytest.mark.parametrize("engine", [paths, operators], ids=["paths", "operators"])
+def test_engine_amplitudes_carry_no_negative_zero(engine, circuits_dir, monkeypatch):
+    # fock._finished skips a rescale by exactly 1.0, which is bit-identical
+    # only for amplitudes without a -0.0 component
+    finished = engine._finished
+
+    def spy(slots, terms, *args, **kwargs):
+        assert not any(map(_has_negative_zero, terms.values()))
+        return finished(slots, terms, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_finished", spy)
+    rng = random.Random(1818)
+    texts = [f.read_text() for f in sorted(circuits_dir.glob("*.fpc"))]
+    texts += [random_circuit_text(rng) for _ in range(150)]
+    for text in texts:
+        circuit = parse_circuit(text)
+        state = initial_state(circuit)
+        for transform, _ in circuit.bound:
+            state = engine.apply_transform(state, transform)
+            assert not any(map(_has_negative_zero, state._terms.values())), text
 
 
 @settings(max_examples=30, deadline=None)

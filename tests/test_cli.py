@@ -185,6 +185,15 @@ def test_run_overflowing_splitter_exits_2(tmp_path, capsys):
     assert err.startswith("error: 5:7:") and "energy conservation" in err
 
 
+def test_run_non_unitary_splitter_exits_2(tmp_path, capsys):
+    # |rho| = 1e-9 skips the phase check, but the cross term 2|rho||tau| is 2e-9
+    f = tmp_path / "skew.fpc"
+    f.write_text("port a\nport b\nport c\nport d\nrbs r=1e-9+0i t=1+0i a b -> c d\n")
+    code, _, err = run_main(["run", str(f)], capsys)
+    assert code == 2
+    assert err.startswith("error: 5:7:") and "not unitary" in err
+
+
 def test_run_max_photons_flag_lifts_budget(tmp_path, capsys):
     f = tmp_path / "big.fpc"
     f.write_text("port a\nsource a fock 9 pol x\n")

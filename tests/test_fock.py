@@ -1,8 +1,10 @@
 """State container behavior: canonical form, norms, distributions, JSON."""
 
+import itertools
 import json
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given
@@ -25,6 +27,7 @@ from fockpath import (
     tensor_product,
 )
 from fockpath import paths
+from fockpath.fock import PRUNE_EPS, _finished
 
 AX = Mode("a", "x")
 AY = Mode("a", "y")
@@ -269,6 +272,16 @@ def _random_state_pairs(seed, count):
         yield a, b
 
 
+def test_terms_keys_match_validated_basis_states():
+    for a, b in _random_state_pairs(11, 200):
+        for x in (a, b):
+            want = [BasisState(zip(x._slots, k)) for k in x._terms]
+            got = list(x.terms)
+            assert [k.items() for k in got] == [k.items() for k in want]
+            assert list(map(hash, got)) == list(map(hash, want))
+            assert x.sorted_terms() == sorted(zip(want, x._terms.values()))
+
+
 def test_max_amplitude_difference_matches_public_key_formula():
     for a, b in _random_state_pairs(8, 300):
         for x, y in ((a, b), (b, a), (a, a)):
@@ -334,3 +347,118 @@ def test_basis_state_combine_adds_counts(n, m):
     c = a.combine(b)
     assert c.count(AX) == n + m
     assert c.count(BX) == 1
+
+
+def _three_pass_finish(terms: dict, normalized: bool = True) -> dict:
+    """The finish step as three separate passes over the terms: prune, take
+    the squared norm, then rescale and prune again.  ``fock._finished`` must
+    match it bit for bit."""
+    kept = {k: a for k, a in terms.items() if abs(a) >= PRUNE_EPS}
+    n2 = math.fsum([abs(a) ** 2 for a in kept.values()])
+    if abs(n2 - 1.0) > 1e-9:
+        warnings.warn(f"squared norm {n2:.12g} differs from 1", RuntimeWarning)
+    if not normalized:
+        return kept
+    if n2 <= 0.0:
+        raise NullStateError("cannot normalize a null state")
+    scale = 1.0 / math.sqrt(n2)
+    return {k: b for k, a in kept.items() if abs(b := a * scale) >= PRUNE_EPS}
+
+
+FINISH_SLOTS = (AX, AY, BX)
+
+
+def _hexed(terms: dict) -> list:
+    return [(k, a.real.hex(), a.imag.hex()) for k, a in terms.items()]
+
+
+def _random_terms(rng, size: int, norm2: float) -> dict:
+    """``size`` random amplitudes (never a zero component) over FINISH_SLOTS
+    with squared norm ``norm2`` up to rounding."""
+    terms = {}
+    while len(terms) < size:
+        key = tuple(rng.randint(0, 2) for _ in FINISH_SLOTS)
+        terms[key] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    root = math.sqrt(math.fsum(abs(a) ** 2 for a in terms.values()) / norm2)
+    return {k: a / root for k, a in terms.items()}
+
+
+def _unit_scale(terms: dict) -> bool:
+    kept = [abs(a) ** 2 for a in terms.values() if abs(a) >= PRUNE_EPS]
+    return 1.0 / math.sqrt(math.fsum(kept)) == 1.0
+
+
+def _check_finish(terms: dict, normalized: bool = True) -> None:
+    want = _three_pass_finish(dict(terms), normalized)
+    got = _finished(FINISH_SLOTS, dict(terms), {"c"}, [AX], normalized=normalized)
+    assert _hexed(got._terms) == _hexed(want)
+    assert got._slots == FINISH_SLOTS and got.ports == {"a", "c"}
+
+
+def _finish_cases(seed: int, count: int, *, tiny: float | None, norm2: float, unit: bool):
+    """Random term dicts, each with one extra amplitude of magnitude ``tiny``
+    at a random place when given, whose rescale factor is exactly 1.0 or
+    not, as ``unit`` asks."""
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        terms = _random_terms(rng, rng.randint(1, 12), norm2)
+        if tiny is not None:
+            free = [k for k in itertools.product(range(3), repeat=3) if k not in terms]
+            items = list(terms.items())
+            items.insert(rng.randint(0, len(items)), (rng.choice(free), tiny * complex(0.6, -0.8)))
+            terms = dict(items)
+        if _unit_scale(terms) == unit:
+            found += 1
+            yield terms
+
+
+def test_finished_keeps_terms_when_nothing_to_prune_and_scale_is_one():
+    for terms in _finish_cases(21, 200, tiny=None, norm2=1.0, unit=True):
+        _check_finish(terms)
+
+
+def test_finished_rescales_when_scale_is_off_one_within_the_warning_bound():
+    # squared norm 1 up to rounding, yet 1/sqrt(n2) is not exactly 1.0
+    for terms in _finish_cases(22, 200, tiny=None, norm2=1.0, unit=False):
+        _check_finish(terms)
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["scale_one", "scale_off_one"])
+def test_finished_prunes_a_term_below_prune_eps(unit):
+    for terms in _finish_cases(23, 200, tiny=PRUNE_EPS / 3, norm2=1.0, unit=unit):
+        _check_finish(terms)
+        _check_finish(terms, normalized=False)
+
+
+def test_finished_prunes_a_term_that_drops_below_prune_eps_only_after_scaling():
+    # squared norm 4 halves every amplitude: 1.5 eps survives the first prune
+    # and falls to 0.75 eps
+    for terms in _finish_cases(24, 100, tiny=1.5 * PRUNE_EPS, norm2=4.0, unit=False):
+        with pytest.warns(RuntimeWarning, match="squared norm 4 differs"):
+            _check_finish(terms)
+            _check_finish(terms, normalized=False)
+            assert len(_finished(FINISH_SLOTS, dict(terms), ())) == len(terms) - 1
+
+
+def test_finished_raises_null_state_when_every_term_is_pruned():
+    terms = {(1, 0, 0): PRUNE_EPS / 2, (0, 1, 0): complex(0, PRUNE_EPS / 4)}
+    with pytest.warns(RuntimeWarning, match="squared norm 0 differs"):
+        with pytest.raises(NullStateError):
+            _finished(FINISH_SLOTS, terms, ())
+    with pytest.warns(RuntimeWarning, match="squared norm 0 differs"):
+        assert len(_finished(FINISH_SLOTS, terms, (), normalized=False)) == 0
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(0, 1, 0): 1e-20, (1, 0, 0): complex(math.nan, 0)},  # NaN after a pruned term
+        {(0, 1, 0): complex(1e308, 1e308), (1, 0, 0): complex(0, math.inf)},  # |a| overflows
+        {(0, 1, 0): 1e300, (1, 0, 0): math.inf},  # |a|^2 overflows
+    ],
+    ids=["nan", "abs_overflow", "square_overflow"],
+)
+def test_finished_reports_a_non_finite_amplitude_before_any_overflow(terms):
+    with pytest.raises(ValueError, match="non-finite amplitude for a.x=1"):
+        _finished(FINISH_SLOTS, terms, ())

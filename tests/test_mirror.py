@@ -109,6 +109,17 @@ def test_bessel_array_input():
     assert isinstance(bessel_j1(1.0), float)
 
 
+def test_bessel_scalar_matches_array_path_bit_for_bit():
+    rng = random.Random(12)
+    xs = [rng.uniform(-40.0, 40.0) for _ in range(2000)]
+    xs += [0.0, -0.0, 12.0, -12.0, 12.0 + 1e-6, 12.0 - 1e-6, -12.0 - 1e-6, 1e6, -1e6, 7, -13]
+    for fn in (bessel_j0, bessel_j1):
+        for x, want in zip(xs, fn(np.array(xs, dtype=float))):
+            got = fn(x)
+            assert type(got) is float
+            assert got.hex() == float(want).hex(), (fn.__name__, x)
+
+
 def test_bessel_returns_nan_for_nan():
     nan = float("nan")
     for fn in (bessel_j0, bessel_j1):
