@@ -58,6 +58,7 @@ from .fock import (
     BasisState,
     Mode,
     PhotonState,
+    check_photon_budget,
     max_amplitude_difference,
     normalize,
     number_distribution,
@@ -624,11 +625,10 @@ def elaborate(circuit: Circuit) -> list[tuple[ModeTransform, int]]:
 
 def initial_state(circuit: Circuit, max_photons: int = DEFAULT_MAX_PHOTONS) -> PhotonState:
     budget = sum(source_budget(s.spec, max_photons) for s in circuit.sources)
-    if budget > max_photons:
-        raise PhotonBudgetError(
-            f"sources may inject up to {budget} photons, exceeding the "
-            f"maximum of {max_photons}"
-        )
+    try:
+        check_photon_budget(budget, max_photons)
+    except PhotonBudgetError as exc:
+        raise PhotonBudgetError(f"sources may inject up to {budget} photons: {exc}") from None
     states = [make_source(s.spec, s.port, max_photons=max_photons) for s in circuit.sources]
     # the vacuum factor declares every circuit port on the product
     state = tensor_product(PhotonState.vacuum(circuit.ports), *states)

@@ -2,11 +2,13 @@
 
 A mode is a spatial port paired with a polarization axis.  States are sparse
 superpositions of Fock basis states with complex amplitudes.  A state keeps a
-slot table, a tuple of modes, and keys each amplitude by the tuple of photon
-counts in those slots; the evolution engines read and write these count
-tuples directly.  :class:`BasisState`, the public key type, is built only
-where terms leave a state (``terms``, iteration, ``sorted_terms``, JSON), so
-neither the slot order nor the order of construction ever shows.
+slot table, a tuple of modes, and keys each amplitude by one int, slot i's
+photon count in bits 8i..8i+7; only the key helpers (:func:`_key` and the
+four after it) know that layout.  The evolution engines read and write
+these keys directly.  :class:`BasisState`, the public key
+type, is built only where terms leave a state (``terms``, iteration,
+``sorted_terms``, JSON), so neither the slot order nor the order of
+construction ever shows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import ModeMismatchError, NullStateError, PhotonBudgetError, Unknow
 
 __all__ = [
     "DEFAULT_MAX_PHOTONS",
+    "MAX_COUNT",
     "MAX_TERMS",
     "PRUNE_EPS",
     "check_photon_budget",
@@ -48,17 +51,24 @@ DEFAULT_MAX_PHOTONS = 8
 # fast (20,000 is well above every corpus circuit and benchmark workload).
 MAX_TERMS = 20_000
 
+# Most photons any slot of a term may hold and any element may act on,
+# whatever the budget: the Bose factors take sqrt(n!), and 171! overflows a
+# float.  It also keeps each count within its 8-bit field of a key.
+MAX_COUNT = 170
+
 # Amplitudes below this magnitude are dropped from superpositions.
 PRUNE_EPS = 1e-14
 
 
 def check_photon_budget(total: int, max_photons: int | None) -> None:
     """Raise PhotonBudgetError if ``total`` photons exceed ``max_photons``
-    (``None`` sets no bound)."""
+    (``None`` sets no bound) or MAX_COUNT."""
     if max_photons is not None and total > max_photons:
         raise PhotonBudgetError(
             f"{total} photons exceed the configured maximum of {max_photons}"
         )
+    if total > MAX_COUNT:
+        raise PhotonBudgetError(f"{total} photons exceed the limit of {MAX_COUNT}")
 
 
 class Mode(NamedTuple):
@@ -78,9 +88,51 @@ class Mode(NamedTuple):
         return cls(port, pol)
 
 
-# a slot table, and a key over one: the photon count in each slot
+# a slot table
 Slots = tuple[Mode, ...]
-Counts = tuple[int, ...]
+
+
+def _key(counts: Sequence[int], slots: Slots = ()) -> int:
+    """The key of the photon ``counts`` over a slot table: slot i's count in
+    bits 8i..8i+7.  A count above MAX_COUNT raises PhotonBudgetError naming
+    its mode in ``slots`` (or its slot number)."""
+    for i, n in enumerate(counts):
+        if n > MAX_COUNT:
+            where = slots[i].label() if slots else f"slot {i}"
+            raise PhotonBudgetError(f"{n} photons in {where} exceed the limit of {MAX_COUNT}")
+    return int.from_bytes(bytes(counts), "little")
+
+
+def _counts(key: int, size: int) -> bytes:
+    """The photon counts in the first ``size`` slots of ``key``."""
+    return key.to_bytes(size, "little")
+
+
+def _mask(slots: Iterable[int]) -> int:
+    """The bits of a key that hold its counts in ``slots``."""
+    mask = 0
+    for i in slots:
+        mask |= 0xFF << 8 * i
+    return mask
+
+
+def _at(key: int, slots: Iterable[int]) -> list[int]:
+    """The photon counts of ``key`` in ``slots``."""
+    return [(key >> 8 * i) & 0xFF for i in slots]
+
+
+def _unit(slot: int) -> int:
+    """The key of one photon in ``slot``.  Keys add like their counts, as
+    long as no count exceeds MAX_COUNT."""
+    return 1 << 8 * slot
+
+
+def _occupied(keys: Iterable[int], size: int) -> list[int]:
+    """The slots, of the first ``size``, with a photon in some of ``keys``."""
+    union = 0
+    for k in keys:
+        union |= k
+    return [i for i, n in enumerate(_counts(union, size)) if n]
 
 
 def _checked_count(mode, n) -> tuple[Mode, int]:
@@ -172,19 +224,20 @@ class BasisState:
 
 
 class _SlotTerms:
-    """Values keyed by count tuples over a slot table.
+    """Values keyed by packed counts over a slot table.
 
     The representation behind :class:`PhotonState` and the operator
     engine's ``CreationPolynomial``.  ``_slots`` is a tuple of distinct
-    modes and each key of ``_terms`` is the tuple of photon counts in those
-    slots; a slot may be empty in every key.  Only ``terms`` and
-    ``_lookup`` convert to and from :class:`BasisState` keys.
+    modes and each key of ``_terms`` is the int :func:`_key` packs from the
+    photon counts in those slots; a slot may be empty in every key.  Only
+    ``terms`` and ``_lookup`` convert to and from :class:`BasisState` keys.
     """
 
     __slots__ = ("_slots", "_terms")
 
     def _set_basis_terms(self, terms: Mapping[BasisState, object]) -> None:
-        """Key ``terms`` by count tuples over the sorted modes they occupy."""
+        """Key ``terms`` by packed counts over the sorted modes they occupy;
+        a count above MAX_COUNT raises PhotonBudgetError."""
         slots = tuple(sorted({m for bs in terms for m, _ in bs.items()}))
         index = {m: i for i, m in enumerate(slots)}
         self._slots, self._terms = slots, {}
@@ -192,12 +245,12 @@ class _SlotTerms:
             counts = [0] * len(slots)
             for m, n in bs.items():
                 counts[index[m]] = n
-            self._terms[tuple(counts)] = value
+            self._terms[_key(counts, slots)] = value
 
     @classmethod
     def _trusted(cls, slots: Slots, terms: dict) -> "_SlotTerms":
-        """Constructor that checks nothing: ``terms`` must be keyed by count
-        tuples over ``slots``."""
+        """Constructor that checks nothing: ``terms`` must be keyed by
+        packed counts over ``slots``."""
         obj = object.__new__(cls)
         obj._slots, obj._terms = slots, terms
         return obj
@@ -209,7 +262,7 @@ class _SlotTerms:
         modes = [slots[i] for i in order]
         keys = []
         for k in self._terms:
-            counts = [k[i] for i in order]
+            counts = bytes(map(_counts(k, len(slots)).__getitem__, order))
             keys.append(BasisState._trusted(tuple(compress(zip(modes, counts), counts))))
         return dict(zip(keys, self._terms.values()))
 
@@ -218,35 +271,31 @@ class _SlotTerms:
             key = BasisState(key)
         counts = [0] * len(self._slots)
         for m, n in key.items():
-            if m not in self._slots:  # then no key over the slots equals it
+            if m not in self._slots or n > MAX_COUNT:  # then no key equals it
                 return 0j
             counts[self._slots.index(m)] = n
-        return self._terms.get(tuple(counts), 0j)
+        return self._terms.get(_key(counts), 0j)
 
     def __len__(self) -> int:
         return len(self._terms)
 
 
-def _element_slots(state: _SlotTerms, t) -> tuple[Slots, Mapping[Counts, complex], Counts, Counts]:
+def _element_slots(state: _SlotTerms, t) -> tuple[Slots, dict[int, complex], tuple, tuple]:
     """An engine's first step through the element ``t`` (a ModeTransform):
     find the slot table after ``t``.
 
-    Returns ``(table, terms, ins, outs)``.  An input mode missing from the
-    state's slots first gets a zero slot, and ``terms`` comes back keyed
-    over the widened table.  ``t`` reads ``t.in_modes[k]`` at slot ``ins[k]``
-    of those keys and writes ``t.out_modes[k]`` at slot ``outs[k]`` of keys
-    over ``table``; both index the same set of slots.  The output modes of
-    a rerouting element (disjoint from its inputs) take over its input
+    Returns ``(table, terms, ins, outs)``, where ``terms`` is the state's
+    own dict: an input mode missing from its slots gets a new last slot,
+    which every key already holds empty.  ``t`` reads ``t.in_modes[k]`` at
+    slot ``ins[k]`` of those keys and writes ``t.out_modes[k]`` at slot
+    ``outs[k]`` of keys over ``table``; both index the same set of slots.
+    The output modes of a rerouting element (disjoint from its inputs) take over its input
     modes' slots, so ``outs == ins``.  An output mode that already has a
     slot must be empty in every key, or ModeMismatchError is raised; its
     slot passes to the input mode it replaces, which is now empty.
     """
     slots, terms, in_modes, out_modes = state._slots, state._terms, t.in_modes, t.out_modes
-    fresh = tuple(m for m in in_modes if m not in slots)
-    if fresh:
-        slots += fresh
-        zeros = (0,) * len(fresh)
-        terms = {k + zeros: v for k, v in terms.items()}
+    slots += tuple(m for m in in_modes if m not in slots)
     ins = tuple(map(slots.index, in_modes))
     if set(in_modes) == set(out_modes):
         return slots, terms, ins, tuple(map(slots.index, out_modes))
@@ -254,18 +303,21 @@ def _element_slots(state: _SlotTerms, t) -> tuple[Slots, Mapping[Counts, complex
     for m_in, m_out, i in zip(in_modes, out_modes, ins):
         if m_out in slots:
             j = slots.index(m_out)
-            if any(k[j] for k in terms):
+            if j in _occupied(terms, len(slots)):
                 raise ModeMismatchError(f"output mode {m_out.label()} is already occupied")
             table[j] = m_in
         table[i] = m_out
     return tuple(table), terms, ins, ins
 
 
-def _finite(terms: dict, label) -> dict:
-    """``terms``, or ValueError naming ``label(key)`` of a non-finite value."""
+def _finite(terms: dict, slots: Slots | None = None) -> dict:
+    """``terms``, or ValueError naming the key of a non-finite value: a
+    BasisState, or a packed key over ``slots`` when they are given."""
     if not all(map(cmath.isfinite, terms.values())):
         key = next(k for k, a in terms.items() if not cmath.isfinite(a))
-        raise ValueError(f"non-finite amplitude for {label(key)}")
+        if slots is not None:
+            key = BasisState(zip(slots, _counts(key, len(slots))))
+        raise ValueError(f"non-finite amplitude for {key.label()}")
     return terms
 
 
@@ -302,19 +354,19 @@ class PhotonState(_SlotTerms):
             if not isinstance(bs, BasisState):
                 bs = BasisState(bs)
             acc[bs] = acc.get(bs, 0j) + complex(amp)
-        self._set_basis_terms(_pruned(_finite(acc, BasisState.label)))
+        self._set_basis_terms(_pruned(_finite(acc)))
         self._ports = frozenset(ports).union(m.port for m in self._slots)
 
     @classmethod
     def _from_slots(
-        cls, slots: Slots, terms: Mapping[Counts, complex], ports: Iterable[str]
+        cls, slots: Slots, terms: Mapping[int, complex], ports: Iterable[str]
     ) -> "PhotonState":
         """Trusted constructor for this module and the engines: ``terms``
-        maps count tuples over ``slots`` to complex amplitudes, and ``ports``
+        maps packed counts over ``slots`` to complex amplitudes, and ``ports``
         holds the port of every occupied slot.  Non-finite amplitudes raise
         ValueError; amplitudes below PRUNE_EPS are dropped."""
         state = cls._trusted(
-            slots, _pruned(_finite(terms, lambda k: BasisState(zip(slots, k)).label()))
+            slots, _pruned(_finite(terms, slots))
         )
         state._ports = frozenset(ports)
         return state
@@ -394,10 +446,10 @@ def _finished(
             mags = [m for m in mags if not m < PRUNE_EPS]
         n2 = math.fsum([m**2 for m in mags])
     except OverflowError:  # from a huge finite |a|; a non-finite one is reported first
-        _finite(terms, lambda k: BasisState(zip(slots, k)).label())
+        _finite(terms, slots)
         raise
     if not math.isfinite(n2):
-        _finite(terms, lambda k: BasisState(zip(slots, k)).label())
+        _finite(terms, slots)
     if abs(n2 - 1.0) > 1e-9:
         warnings.warn(f"squared norm {n2:.12g} differs from 1", RuntimeWarning, stacklevel=3)
     state = PhotonState._trusted(slots, terms)
@@ -413,15 +465,12 @@ def _finished(
 
 
 def _aligned(a: PhotonState, b: PhotonState) -> tuple[dict, dict]:
-    """The terms of ``a`` and ``b`` keyed over one slot table: ``a``'s slots
-    followed by the slots only ``b`` has."""
-    slots = a._slots + tuple(m for m in b._slots if m not in a._slots)
-    pad = (0,) * (len(slots) - len(a._slots))
-    # each slot's place in a key of b padded with one zero count
-    take = [b._slots.index(m) if m in b._slots else len(b._slots) for m in slots]
-    ta = {k + pad: v for k, v in a._terms.items()}
-    tb = {tuple(map((k + (0,)).__getitem__, take)): v for k, v in b._terms.items()}
-    return ta, tb
+    """The terms of ``a`` and ``b`` under one kind of key: their packed keys
+    when they share a slot table, as the two engines' states do, and their
+    :class:`BasisState` keys otherwise."""
+    if a._slots == b._slots:
+        return a._terms, b._terms
+    return a.terms, b.terms
 
 
 def inner_product(a: PhotonState, b: PhotonState) -> complex:
@@ -456,11 +505,16 @@ def number_distribution(state: PhotonState, ports) -> dict:
     """
     names, single = _port_list(state, ports)
     groups = [[i for i, m in enumerate(state._slots) if m.port == p] for p in names]
+    # the listed ports' bits of a key, and the counts of each such part
+    mask = _mask(i for g in groups for i in g)
+    outcomes: dict[int, object] = {}
     dist: dict = {}
-    for counts, amp in state._terms.items():
-        key = tuple(sum([counts[i] for i in g]) for g in groups)
-        if single:
-            key = key[0]
+    for k, amp in state._terms.items():
+        part = k & mask
+        key = outcomes.get(part)
+        if key is None:
+            key = tuple(sum(_at(part, g)) for g in groups)
+            key = outcomes[part] = key[0] if single else key
         dist[key] = dist.get(key, 0.0) + abs(amp) ** 2
     return dict(sorted(dist.items()))
 
@@ -482,15 +536,19 @@ def max_amplitude_difference(a: PhotonState, b: PhotonState) -> float:
 def tensor_product(*states: PhotonState) -> PhotonState:
     """Combine states living on disjoint mode sets into one."""
     slots: Slots = ()
-    terms = {(): 1.0 + 0j}
+    terms = {0: 1.0 + 0j}
     for st in states:
-        keep = [i for i, column in enumerate(zip(*st._terms)) if any(column)]
+        keep = _occupied(st._terms, len(st._slots))
         occupied = tuple(st._slots[i] for i in keep)
         overlap = sorted(m.label() for m in set(slots) & set(occupied))
         if overlap:
             raise ValueError(f"tensor product requires disjoint modes, got {overlap}")
-        part = {tuple(k[i] for i in keep): amp for k, amp in st._terms.items()}
+        part = st._terms
+        if len(keep) < len(st._slots):  # drop the slots no term occupies
+            part = {_key(_at(k, keep)): amp for k, amp in part.items()}
+        shift = _unit(len(slots))  # the part's slots follow those placed so far
         slots += occupied
+        part = {k * shift: amp for k, amp in part.items()}
         terms = {k + k2: amp * amp2 for k, amp in terms.items() for k2, amp2 in part.items()}
     ports = frozenset().union(*(st.ports for st in states))
     return PhotonState._from_slots(slots, terms, ports)

@@ -10,8 +10,8 @@ This is an independent derivation of the same physics as the path-sum
 engine, which is why comparing the two is a meaningful correctness check.
 
 Monomials are keyed like state terms: a monomial prod_m (a_m^dag)^{e_m} is
-the tuple of its exponents over a slot table of modes (see
-:func:`fockpath.fock._element_slots`), and :class:`fockpath.fock.BasisState`
+the int that packs its exponents over a slot table of modes, one byte per
+slot (see :func:`fockpath.fock._key`), and :class:`fockpath.fock.BasisState`
 is its public key.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from operator import add
+from operator import add, mul
 
 from .elements import ModeTransform
 from .fock import (
@@ -27,8 +27,14 @@ from .fock import (
     Mode,
     PhotonState,
     _SlotTerms,
+    _at,
+    _counts,
     _element_slots,
     _finished,
+    _mask,
+    _occupied,
+    _unit,
+    check_photon_budget,
     normalize,  # noqa: F401  (perfbench/tracer.py wraps it; --trace 1 fails without it)
 )
 
@@ -69,13 +75,17 @@ class CreationPolynomial(_SlotTerms):
         return f"CreationPolynomial(terms={self.terms!r})"
 
 
+def _root(counts: Iterable[int]) -> float:
+    """sqrt(prod m!) over ``counts``."""
+    # math.factorial serves small counts from CPython's built-in table
+    return math.sqrt(math.prod(map(math.factorial, counts)))
+
+
 def state_to_polynomial(state: PhotonState) -> CreationPolynomial:
     """Coefficient of each monomial is amplitude / sqrt(prod m!)."""
-    # math.factorial serves small counts from CPython's built-in table
-    return CreationPolynomial._trusted(
-        state._slots,
-        {k: a / math.sqrt(math.prod(map(math.factorial, k))) for k, a in state._terms.items()},
-    )
+    size = len(state._slots)
+    terms = {k: a / _root(_counts(k, size)) for k, a in state._terms.items()}
+    return CreationPolynomial._trusted(state._slots, terms)
 
 
 def polynomial_to_state(
@@ -92,8 +102,8 @@ def polynomial_to_state(
     plus every port a monomial mentions.
     """
     slots = poly._slots
-    terms = {k: c * math.sqrt(math.prod(map(math.factorial, k))) for k, c in poly._terms.items()}
-    occupied = (m for m, column in zip(slots, zip(*terms)) if any(column))
+    terms = {k: c * _root(_counts(k, len(slots))) for k, c in poly._terms.items()}
+    occupied = [slots[i] for i in _occupied(terms, len(slots))]
     return _finished(slots, terms, ports, occupied, normalized=normalized)
 
 
@@ -138,35 +148,38 @@ def _amplitude_image(
     matrix, exponents: _Exponents, powers: dict
 ) -> list[tuple[_Exponents, complex]]:
     """:func:`_image` times sqrt(prod m!)/sqrt(prod n!): amplitudes to amplitudes."""
-    root = math.sqrt(math.prod(map(math.factorial, exponents)))
-    return [
-        (k, c * math.sqrt(math.prod(map(math.factorial, k))) / root)
-        for k, c in _image(matrix, exponents, powers)
-    ]
+    root = _root(exponents)
+    return [(k, c * _root(k) / root) for k, c in _image(matrix, exponents, powers)]
 
 
-def _substitute(terms, ins, outs, matrix, image_of) -> dict[_Exponents, complex]:
+def _substitute(terms, ins, outs, matrix, image_of) -> dict[int, complex]:
     """``terms`` with ``image_of(matrix, exponents, powers)`` of each key's
     input exponents (at slots ``ins``) written over its slots ``outs``.
 
-    Two caches last this one call: the images by exponent tuple, and the
-    column ``powers`` of :func:`_image`, at most the element's photon count
-    per column.
+    A key with no exponent at ``ins`` has image 1 and passes unchanged.  Two
+    caches last this one call: the images by the key's bits at ``ins``, as
+    ``(delta, c)`` pairs that move a key to key + delta; and the column
+    ``powers`` of :func:`_image`.
     """
-    # an element acts on one or two modes, so [0] and [-1] reach all of them
-    i1, i2, o1, o2, n = ins[0], ins[-1], outs[0], outs[-1], len(ins)
-    image_cache: dict[tuple[int, int], list[tuple[_Exponents, complex]]] = {}
+    mask, units = _mask(ins), [_unit(o) for o in outs]
+    image_cache: dict[int, list[tuple[int, complex]]] = {}
     powers: dict = {}
-    out: dict[_Exponents, complex] = {}
+    out: dict[int, complex] = {}
     for key, coeff in terms.items():
-        exponents = (key[i1], key[i2])
-        image = image_cache.get(exponents)
+        fields = key & mask
+        if not fields:  # no other key reaches this one
+            out[key] = 0j + coeff
+            continue
+        image = image_cache.get(fields)
         if image is None:
-            image = image_cache[exponents] = image_of(matrix, exponents[:n], powers)
-        counts = list(key)
-        for written, c in image:
-            counts[o1], counts[o2] = written[0], written[-1]
-            k = tuple(counts)
+            exponents = tuple(_at(fields, ins))
+            check_photon_budget(sum(exponents), None)
+            image = image_cache[fields] = [
+                (sum(map(mul, written, units)) - fields, c)
+                for written, c in image_of(matrix, exponents, powers)
+            ]
+        for delta, c in image:
+            k = key + delta
             out[k] = out.get(k, 0j) + coeff * c
     return out
 

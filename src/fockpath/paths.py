@@ -27,8 +27,11 @@ from .fock import (
     DEFAULT_MAX_PHOTONS,
     PhotonState,
     check_photon_budget,
+    _at,
     _element_slots,
     _finished,
+    _mask,
+    _unit,
     normalize,  # noqa: F401
 )
 
@@ -151,34 +154,39 @@ def trace_paths(
     return traces
 
 
+def _moves(fields: int, ins, units, matrix) -> list[tuple[int, complex]]:
+    """``(delta, amplitude)`` of each routing of the photons that the key
+    ``fields`` holds in the slots ``ins``: a key moves to key + delta.
+    ``units`` are the keys of one photon in each output slot."""
+    counts = _at(fields, ins)
+    if len(counts) == 1:  # a one-mode element keeps its photons in place
+        return [(0, matrix[0][0] ** counts[0])]
+    u1, u2 = units
+    scattered = scatter_two_mode(*counts, matrix, max_photons=None)
+    return [(ma * u1 + mb * u2 - fields, a) for (ma, mb), a in scattered.items()]
+
+
 def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
     """Evolve a state through one element by summing photon routings.
 
     Only the element's counts of each term change, and their photon total
-    is kept.  The result is normalized, with a RuntimeWarning if its squared
-    norm drifted.
+    is kept, so a term with no photon in the element's modes has one
+    routing and passes unchanged.  The result is normalized, with a
+    RuntimeWarning if its squared norm drifted.
     """
     slots, terms, ins, outs = _element_slots(state, t)
-    new: dict[tuple[int, ...], complex] = {}
-    if len(ins) == 1:
-        # a one-mode element keeps every key: its output slot is its input's
-        (i,) = ins
-        u = t.matrix[0][0]
-        for key, amp in terms.items():
-            new[key] = new.get(key, 0j) + amp * u ** key[i]
-    else:
-        i1, i2 = ins
-        o1, o2 = outs
-        cache: dict[tuple[int, int], dict[tuple[int, int], complex]] = {}
-        for key, amp in terms.items():
-            n12 = (key[i1], key[i2])
-            scattered = cache.get(n12)
-            if scattered is None:
-                scattered = cache[n12] = scatter_two_mode(*n12, t.matrix, max_photons=None)
-            counts = list(key)
-            for (ma, mb), s_amp in scattered.items():
-                counts[o1] = ma
-                counts[o2] = mb
-                nk = tuple(counts)
-                new[nk] = new.get(nk, 0j) + amp * s_amp
+    mask, units = _mask(ins), tuple(map(_unit, outs))
+    cache: dict[int, list[tuple[int, complex]]] = {}
+    new: dict[int, complex] = {}
+    for key, amp in terms.items():
+        fields = key & mask
+        if not fields:  # no other term reaches this key
+            new[key] = 0j + amp
+            continue
+        moves = cache.get(fields)
+        if moves is None:
+            moves = cache[fields] = _moves(fields, ins, units, t.matrix)
+        for delta, s_amp in moves:
+            nk = key + delta
+            new[nk] = new.get(nk, 0j) + amp * s_amp
     return _finished(slots, new, state.ports, t.in_modes + t.out_modes)

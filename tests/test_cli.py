@@ -70,6 +70,47 @@ def test_run_json_matches_golden_output(name, circuits_dir, tmp_path, capsys):
     assert json.loads(text)["discrepancy"] < 1e-12
 
 
+def _csv_row(row):
+    occupancy = ";".join(f"{mode}={n}" for mode, n in row["occupancy"].items())
+    return f"{occupancy or 'vacuum'},{row['re']:.12g},{row['im']:.12g}"
+
+
+def _close_rows(got, want):
+    """Same occupancies in the same order, amplitudes within 1e-12."""
+    assert [row["occupancy"] for row in got] == [row["occupancy"] for row in want]
+    for g, w in zip(got, want):
+        assert abs(g["re"] - w["re"]) <= 1e-12 and abs(g["im"] - w["im"]) <= 1e-12
+
+
+@pytest.mark.parametrize("form", ["paths_json", "csv", "operators_json"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_run_per_engine_and_csv_match_golden_output(name, form, circuits_dir, capsys):
+    """``--engine paths`` gives the golden ``state`` and ``distributions``
+    byte for byte, CSV gives the golden rows, and ``--engine operators``
+    agrees with them within 1e-12."""
+    golden_text = (GOLDEN_DIR / f"{name}.json").read_text()
+    golden = json.loads(golden_text)
+    source = str(circuits_dir / f"{name}.fpc")
+    engine, fmt = ("both", "csv") if form == "csv" else (form.split("_")[0], "json")
+    code, out, err = run_main(["run", source, "--engine", engine, "--format", fmt], capsys)
+    assert code == 0, err
+    if form == "csv":
+        assert out.splitlines() == ["basis,re,im"] + [_csv_row(row) for row in golden["state"]]
+        return
+    payload = json.loads(out)
+    assert payload["engine"] == engine and payload["discrepancy"] is None
+    if engine == "paths":
+        out = out.replace('"engine": "paths"', '"engine": "both"')
+        assert _without_discrepancy(out) == _without_discrepancy(golden_text)
+        return
+    _close_rows(payload["state"], golden["state"])
+    assert payload["distributions"].keys() == golden["distributions"].keys()
+    for port, dist in golden["distributions"].items():
+        assert payload["distributions"][port].keys() == dist.keys()
+        for n, p in dist.items():
+            assert abs(payload["distributions"][port][n] - p) <= 1e-12
+
+
 def test_run_requires_exactly_one_circuit(tmp_path, capsys):
     code, _, err = run_main(["run"], capsys)
     assert code == 1
@@ -194,6 +235,37 @@ def test_run_non_unitary_splitter_exits_2(tmp_path, capsys):
     assert err.startswith("error: 5:7:") and "not unitary" in err
 
 
+# Each puts more than fock.MAX_COUNT = 170 photons through one element.
+# 171! overflows a float, so these once ended in exit 1 with "int too large
+# to convert to float" and no hint of the cause.
+BEYOND_MAX_COUNT = {
+    "one_source": "port a\nsource a fock 200 pol x\nwaveplate phase=90 axis=22.5 on a\n",
+    "two_sources_meet": (
+        "port a\nport b\nport c\nport d\nsource a fock 100 pol x\n"
+        "source b fock 100 pol x\nrbs split=50 a b -> c d\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_MAX_COUNT))
+def test_run_beyond_max_count_exits_4_whatever_the_budget(name, tmp_path, capsys):
+    f = tmp_path / f"{name}.fpc"
+    f.write_text(BEYOND_MAX_COUNT[name])
+    code, out, err = run_main(["run", str(f), "--max-photons", "400"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "200 photons exceed the limit of 170" in err
+
+
+def test_run_at_max_count_succeeds(tmp_path, capsys):
+    f = tmp_path / "full.fpc"
+    f.write_text(BEYOND_MAX_COUNT["one_source"].replace("200", "170"))
+    code, out, err = run_main(["run", str(f), "--max-photons", "400", "--engine", "paths"], capsys)
+    assert code == 0, err
+    rows = json.loads(out)["state"]
+    assert rows and {sum(row["occupancy"].values()) for row in rows} == {170}
+
+
 def test_run_max_photons_flag_lifts_budget(tmp_path, capsys):
     f = tmp_path / "big.fpc"
     f.write_text("port a\nsource a fock 9 pol x\n")
@@ -252,6 +324,14 @@ def test_trace_rbs50_routings(capsys):
         }
         sent = [sum(row) for row in r["assignment"]]
         assert sent == [2, 1]
+
+
+def test_trace_beyond_max_count_exits_4_whatever_the_budget(capsys):
+    argv = ["trace", "--n1", "150", "--n2", "30", "--max-photons", "400"]
+    code, out, err = run_main(argv, capsys)
+    assert code == 4
+    assert out == ""
+    assert "180 photons exceed the limit of 170" in err
 
 
 def test_trace_waveplate_half_at_45(capsys):

@@ -14,6 +14,7 @@ from fockpath import (
     BasisState,
     Mode,
     NullStateError,
+    PhotonBudgetError,
     PhotonState,
     UnknownPortError,
     expected_photon_number,
@@ -27,7 +28,15 @@ from fockpath import (
     tensor_product,
 )
 from fockpath import paths
-from fockpath.fock import PRUNE_EPS, _finished
+from fockpath.fock import (
+    MAX_COUNT,
+    PRUNE_EPS,
+    _counts,
+    _element_slots,
+    _finished,
+    _key,
+    check_photon_budget,
+)
 
 AX = Mode("a", "x")
 AY = Mode("a", "y")
@@ -186,6 +195,20 @@ def test_tensor_product_rejects_shared_modes():
         tensor_product(a, a)
 
 
+def test_tensor_product_drops_slots_no_term_occupies():
+    # a.y and b.x are empty in every term of a; a.y comes before occupied
+    # slots, so a's keys must be re-keyed, not only shifted
+    by, cx = Mode("b", "y"), Mode("c", "x")
+    a = PhotonState._from_slots((AY, AX, BX, by), {_key([0, 1, 0, 2]): 1.0}, {"a", "b"})
+    b = PhotonState({BasisState({BX: 1, cx: 1}): 0.6, BasisState({AY: 3}): 0.8})
+    t = tensor_product(b, a)
+    assert t._slots == (AY, BX, cx, AX, by)
+    assert t.terms == {
+        BasisState({BX: 1, cx: 1, AX: 1, by: 2}): 0.6,
+        BasisState({AY: 3, AX: 1, by: 2}): 0.8,
+    }
+
+
 def test_json_round_trip():
     s = PhotonState(
         {
@@ -212,6 +235,46 @@ def test_amplitude_of_mode_outside_the_state_is_zero():
     assert s.amplitude(BasisState({BX: 1})) == 0j
     assert s.amplitude({AX: 1, BX: 1}) == 0j
     assert s.amplitude({AX: 1, BX: 0}) == 1.0
+
+
+def test_keys_pack_one_byte_per_slot():
+    assert _key([]) == 0
+    assert _key([3, 0, MAX_COUNT]) == 3 + (MAX_COUNT << 16)
+    assert _counts(_key([3, 0, MAX_COUNT]), 4) == bytes([3, 0, MAX_COUNT, 0])
+
+
+def test_counts_beyond_max_count_cannot_be_keyed():
+    with pytest.raises(PhotonBudgetError, match="171 photons in slot 1 exceed the limit of 170"):
+        _key([0, MAX_COUNT + 1])
+    with pytest.raises(PhotonBudgetError, match="300 photons in b.x exceed the limit of 170"):
+        PhotonState({BasisState({AX: 1, BX: 300}): 1.0})
+    full = PhotonState({BasisState({AX: MAX_COUNT}): 1.0})
+    assert full.amplitude({AX: MAX_COUNT}) == 1.0
+    # an occupancy no key can hold has amplitude zero
+    assert full.amplitude({AX: MAX_COUNT + 1}) == 0j
+    assert full.amplitude({AX: 256}) == 0j
+
+
+def test_photon_budget_never_exceeds_max_count():
+    check_photon_budget(MAX_COUNT, None)
+    check_photon_budget(MAX_COUNT, 1000)
+    for budget in (None, MAX_COUNT + 1, 1000):
+        with pytest.raises(PhotonBudgetError, match="171 photons exceed the limit of 170"):
+            check_photon_budget(MAX_COUNT + 1, budget)
+    with pytest.raises(PhotonBudgetError, match="configured maximum of 8"):
+        check_photon_budget(MAX_COUNT + 1, 8)
+
+
+def test_element_slots_keeps_the_terms_dict_for_fresh_input_modes():
+    # a new last slot is already empty in every key, so nothing is re-keyed
+    cx, dx = Mode("c", "x"), Mode("d", "x")
+    state = PhotonState({BasisState({AX: 1, BX: 2}): 0.6, BasisState({BX: 1}): 0.8})
+    in_place = make_rbs(0.6, 0.8j, in_modes=(cx, dx), out_modes=(cx, dx))
+    rerouting = make_rbs(0.6, 0.8j, in_modes=(BX, cx), out_modes=(dx, Mode("e", "x")))
+    for t, want_ins in ((in_place, (2, 3)), (rerouting, (1, 2))):
+        slots, terms, ins, _ = _element_slots(state, t)
+        assert terms is state._terms
+        assert ins == want_ins and len(slots) == 2 + len(set(t.in_modes) - {BX})
 
 
 def test_slot_order_never_shows():
@@ -257,7 +320,7 @@ def _random_state_pairs(seed, count):
         # slots in random order, some of them empty in every term
         slots = tuple(rng.sample(modes, rng.randint(0, len(modes))))
         terms = {
-            tuple(rng.randint(0, 2) for _ in slots): complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            _key([rng.randint(0, 2) for _ in slots]): complex(rng.gauss(0, 1), rng.gauss(0, 1))
             for _ in range(rng.randint(0, 6))
         }
         return PhotonState._from_slots(slots, terms, {m.port for m in slots})
@@ -267,7 +330,8 @@ def _random_state_pairs(seed, count):
         if rng.random() < 0.3:
             order = rng.sample(range(len(a._slots)), len(a._slots))
             slots = tuple(a._slots[i] for i in order)
-            terms = {tuple(k[i] for i in order): v for k, v in a._terms.items()}
+            size = len(a._slots)
+            terms = {_key([_counts(k, size)[i] for i in order]): v for k, v in a._terms.items()}
             b = PhotonState._from_slots(slots, terms, a.ports)
         yield a, b
 
@@ -275,7 +339,7 @@ def _random_state_pairs(seed, count):
 def test_terms_keys_match_validated_basis_states():
     for a, b in _random_state_pairs(11, 200):
         for x in (a, b):
-            want = [BasisState(zip(x._slots, k)) for k in x._terms]
+            want = [BasisState(zip(x._slots, _counts(k, len(x._slots)))) for k in x._terms]
             got = list(x.terms)
             assert [k.items() for k in got] == [k.items() for k in want]
             assert list(map(hash, got)) == list(map(hash, want))
@@ -377,7 +441,7 @@ def _random_terms(rng, size: int, norm2: float) -> dict:
     with squared norm ``norm2`` up to rounding."""
     terms = {}
     while len(terms) < size:
-        key = tuple(rng.randint(0, 2) for _ in FINISH_SLOTS)
+        key = _key([rng.randint(0, 2) for _ in FINISH_SLOTS])
         terms[key] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
     root = math.sqrt(math.fsum(abs(a) ** 2 for a in terms.values()) / norm2)
     return {k: a / root for k, a in terms.items()}
@@ -404,7 +468,8 @@ def _finish_cases(seed: int, count: int, *, tiny: float | None, norm2: float, un
     while found < count:
         terms = _random_terms(rng, rng.randint(1, 12), norm2)
         if tiny is not None:
-            free = [k for k in itertools.product(range(3), repeat=3) if k not in terms]
+            keys = map(_key, itertools.product(range(3), repeat=3))
+            free = [k for k in keys if k not in terms]
             items = list(terms.items())
             items.insert(rng.randint(0, len(items)), (rng.choice(free), tiny * complex(0.6, -0.8)))
             terms = dict(items)
@@ -442,7 +507,7 @@ def test_finished_prunes_a_term_that_drops_below_prune_eps_only_after_scaling():
 
 
 def test_finished_raises_null_state_when_every_term_is_pruned():
-    terms = {(1, 0, 0): PRUNE_EPS / 2, (0, 1, 0): complex(0, PRUNE_EPS / 4)}
+    terms = {_key((1, 0, 0)): PRUNE_EPS / 2, _key((0, 1, 0)): complex(0, PRUNE_EPS / 4)}
     with pytest.warns(RuntimeWarning, match="squared norm 0 differs"):
         with pytest.raises(NullStateError):
             _finished(FINISH_SLOTS, terms, ())
@@ -453,9 +518,12 @@ def test_finished_raises_null_state_when_every_term_is_pruned():
 @pytest.mark.parametrize(
     "terms",
     [
-        {(0, 1, 0): 1e-20, (1, 0, 0): complex(math.nan, 0)},  # NaN after a pruned term
-        {(0, 1, 0): complex(1e308, 1e308), (1, 0, 0): complex(0, math.inf)},  # |a| overflows
-        {(0, 1, 0): 1e300, (1, 0, 0): math.inf},  # |a|^2 overflows
+        # NaN after a pruned term
+        {_key((0, 1, 0)): 1e-20, _key((1, 0, 0)): complex(math.nan, 0)},
+        # |a| overflows
+        {_key((0, 1, 0)): complex(1e308, 1e308), _key((1, 0, 0)): complex(0, math.inf)},
+        # |a|^2 overflows
+        {_key((0, 1, 0)): 1e300, _key((1, 0, 0)): math.inf},
     ],
     ids=["nan", "abs_overflow", "square_overflow"],
 )

@@ -24,7 +24,7 @@ from fockpath import (
     substitute_modes,
 )
 from fockpath import operators, paths
-from fockpath.fock import max_amplitude_difference, normalize
+from fockpath.fock import _counts, _key, max_amplitude_difference, normalize
 
 M1, M2 = Mode("1", "x"), Mode("2", "x")
 M3, M4 = Mode("3", "x"), Mode("4", "x")
@@ -276,10 +276,11 @@ def _random_superposition(rng, modes, max_photons=4):
 
 
 def _with_empty_slots(state, empty):
-    """``state`` with a zero-count slot for each mode in ``empty``."""
-    zeros = (0,) * len(empty)
-    terms = {k + zeros: a for k, a in state._terms.items()}
-    return PhotonState._from_slots(state._slots + tuple(empty), terms, state.ports)
+    """``state`` with a zero-count slot for each mode in ``empty``, placed
+    first, so that every key moves to the fields above them."""
+    size, zeros = len(state._slots), [0] * len(empty)
+    terms = {_key(zeros + list(_counts(k, size))): a for k, a in state._terms.items()}
+    return PhotonState._from_slots(tuple(empty) + state._slots, terms, state.ports)
 
 
 PX, PY = Mode("1", "x"), Mode("1", "y")

@@ -31,6 +31,7 @@ from fockpath import (
     trace_paths,
 )
 from fockpath import operators, paths
+from fockpath.fock import MAX_COUNT, _key
 from fockpath.paths import apply_transform
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -291,6 +292,60 @@ def test_apply_transform_rejects_non_finite_amplitude(engine):
     )
     with pytest.raises(ValueError, match="non-finite amplitude for 3.x=1"):
         engine.apply_transform(s, make_split50_rbs())
+
+
+# --- packed keys: slot i's count in bits 8i..8i+7 (see fock._key) ----------
+
+WX, XX, YX, ZX = (Mode(p, "x") for p in "wxyz")
+QUIET_ELEMENTS = [
+    make_phase_shifter(0.3, mode=XX),
+    make_split50_rbs(in_modes=(XX, YX), out_modes=(XX, YX)),
+    make_split50_rbs(in_modes=(XX, YX), out_modes=(Mode("v", "x"), ZX)),
+]
+
+
+@pytest.mark.parametrize("t", QUIET_ELEMENTS, ids=["phase", "rbs", "rbs_rerouting"])
+@BOTH_ENGINES
+def test_term_without_photons_in_the_element_comes_out_as_0j_plus_amp(engine, t):
+    # a -0.0 component shows whether the term was written as 0j + amp, as
+    # its one routing (amplitude 1+0j) would write it, or copied as it is
+    amp = complex(-0.0, 1.0)
+    state = PhotonState._from_slots((WX,), {_key([1]): amp}, {"w"})
+    [(basis, out)] = engine.apply_transform(state, t)
+    want = 0j + amp
+    assert basis == BasisState({WX: 1})
+    assert (out.real.hex(), out.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@BOTH_ENGINES
+def test_full_slots_beside_the_element_keep_their_counts(engine):
+    # slots w.x and z.x hold MAX_COUNT photons on both sides of the
+    # element's slots x.x and y.x; no field may spill into its neighbour
+    full = MAX_COUNT
+    state = PhotonState(
+        {
+            BasisState({WX: full, XX: 1, ZX: full}): 0.6,
+            BasisState({WX: full, YX: 2, ZX: full}): 0.8j,
+        }
+    )
+    assert state._slots == (WX, XX, YX, ZX)
+    for t in QUIET_ELEMENTS[:2]:
+        state = engine.apply_transform(state, t)
+        for basis, _ in state:
+            assert (basis.count(WX), basis.count(ZX)) == (full, full)
+            assert basis.count(XX) + basis.count(YX) in (1, 2)
+    assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+
+
+@BOTH_ENGINES
+def test_element_beyond_max_count_raises_photon_budget_error(engine):
+    t = QUIET_ELEMENTS[1]
+    # |MAX_COUNT, 0> scatters without cancellation between routings
+    at_limit = PhotonState({BasisState({XX: MAX_COUNT}): 1.0})
+    assert engine.apply_transform(at_limit, t).norm_squared() == pytest.approx(1.0)
+    beyond = PhotonState({BasisState({XX: 100, YX: MAX_COUNT - 99}): 1.0})
+    with pytest.raises(PhotonBudgetError, match="171 photons exceed the limit of 170"):
+        engine.apply_transform(beyond, t)
 
 
 @BOTH_ENGINES
