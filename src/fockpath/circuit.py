@@ -34,13 +34,13 @@ from typing import Union
 from . import fock, operators, paths
 from .coherent import CoherentParams, coherent_state, default_truncation
 from .elements import (
+    SPLIT50,
     ModeTransform,
     _validate_rbs_coefficients,
     make_pbs,
     make_phase_shifter,
     make_polarization_rotation,
     make_rbs,
-    make_split50_rbs,
     make_waveplate,
 )
 from .errors import (
@@ -173,7 +173,6 @@ class Circuit:
     ports: tuple[str, ...] = ()
     sources: tuple[SourceStmt, ...] = ()
     elements: tuple[ElementStmt, ...] = ()
-    name: str = field(default="", compare=False)
 
     @cached_property
     def bound(self) -> tuple[tuple[ModeTransform, int], ...]:
@@ -341,8 +340,7 @@ def _parse_rbs(line: _Line, declared: set[str]) -> RbsStmt:
     if tok[0] == "split=50":
         line.take("split=50")
         split50 = True
-        rho = complex(1.0 / math.sqrt(2.0), 0.0)
-        tau = complex(0.0, 1.0 / math.sqrt(2.0))
+        rho, tau = SPLIT50
         rcol = tok[1]
     else:
         value, rcol = _kv(line, "r")
@@ -387,7 +385,7 @@ def _parse_pbs(line: _Line, declared: set[str]) -> PbsStmt:
     )
 
 
-def parse_circuit(text: str, name: str = "") -> Circuit:
+def parse_circuit(text: str) -> Circuit:
     """Parse circuit text, validating statically checkable structure."""
     ports: list[str] = []
     declared: set[str] = set()
@@ -425,9 +423,7 @@ def parse_circuit(text: str, name: str = "") -> Circuit:
             elements.append(PhaseStmt(deg=deg, port=port, line=number))
         else:
             raise ParseError(f"unknown keyword {head!r}", number, hcol)
-    circuit = Circuit(
-        ports=tuple(ports), sources=tuple(sources), elements=tuple(elements), name=name
-    )
+    circuit = Circuit(ports=tuple(ports), sources=tuple(sources), elements=tuple(elements))
     _validate_circuit(circuit)
     return circuit
 
@@ -666,11 +662,11 @@ def _evolve(state: PhotonState, bound, engine) -> PhotonState:
 
 
 def _run_engines(
-    circuit: Circuit, names, max_photons: int | None
+    circuit: Circuit, names, max_photons: int
 ) -> tuple[PhotonState, float | None]:
     """Evolve the circuit on each named engine; return the first engine's
     final state and, for two engines, their max amplitude difference."""
-    start = initial_state(circuit, DEFAULT_MAX_PHOTONS if max_photons is None else max_photons)
+    start = initial_state(circuit, max_photons)
     states = [_evolve(start, circuit.bound, _ENGINES[name]) for name in names]
     discrepancy = max_amplitude_difference(*states) if len(states) == 2 else None
     return states[0], discrepancy
@@ -680,7 +676,7 @@ def run_circuit(
     circuit: Circuit,
     engine: str = "both",
     *,
-    max_photons: int | None = None,
+    max_photons: int = DEFAULT_MAX_PHOTONS,
 ) -> RunResult:
     """Run the circuit on one engine, or on both and compare.
 
@@ -704,7 +700,7 @@ def run_circuit(
 
 def cross_check(circuit: Circuit) -> float:
     """Max amplitude difference between the two engines on this circuit."""
-    return _run_engines(circuit, tuple(_ENGINES), None)[1]
+    return _run_engines(circuit, tuple(_ENGINES), DEFAULT_MAX_PHOTONS)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line front end: circuit runs, path traces, Airy export, checks.
 
-Exit codes: 0 success, 2 parse error (message carries line:col), 3 engine
-disagreement, 4 photon budget, state size or truncation failure, 1 anything
-else, a bad flag or flag value included (``--help`` exits 0).  Output is
-deterministic for fixed inputs and flags; files are written in one shot
-after all computation succeeds, so failures leave no partial file.
+Exit codes (each error type's ``exit_code``): 0 success, 2 parse error
+(message carries line:col), 3 engine disagreement, 4 photon budget, state
+size or truncation failure, 1 anything else, a bad flag or flag value
+included (``--help`` exits 0).  Output is deterministic for fixed inputs
+and flags; files are written in one shot after all computation succeeds,
+so failures leave no partial file.
 
 ``run`` and ``trace`` take the photon budget from ``--max-photons`` or
 ``FOCKPATH_MAX_PHOTONS`` and check it where photons enter; ``run`` checks
@@ -23,21 +24,16 @@ from pathlib import Path
 
 from .circuit import (
     DEMO_CIRCUITS,
+    _parse_cplx,
     cross_check,
     parse_circuit,
     random_circuit_text,
     run_circuit,
 )
 from .elements import make_rbs, make_split50_rbs, make_waveplate
-from .errors import (
-    EngineDisagreementError,
-    FockPathError,
-    ParseError,
-    PhotonBudgetError,
-    TruncationError,
-)
+from .errors import FockPathError, ParseError
 from .fock import DEFAULT_MAX_PHOTONS, PhotonState, state_to_json_obj
-from .mirror import MirrorGeometry, airy_profile, focal_amplitude_quadrature
+from .mirror import MirrorGeometry, airy_profile, image_distance
 from .paths import trace_paths
 
 __all__ = ["main", "console_entry"]
@@ -80,8 +76,6 @@ def _int_at_least(low: int):
 
 def _parse_cli_complex(text: str) -> complex:
     """Accept the circuit-file complex format RE+IMi, e.g. 0.6+0.8i."""
-    from .circuit import _parse_cplx
-
     try:
         return _parse_cplx(text, 0, 0)
     except ParseError:
@@ -111,11 +105,9 @@ def _cmd_run(args) -> int:
         raise ValueError("give exactly one of a circuit file or --demo")
     if args.demo is not None:
         text = DEMO_CIRCUITS[args.demo]
-        name = args.demo
     else:
         text = Path(args.file).read_text(encoding="utf-8")
-        name = args.file
-    circuit = parse_circuit(text, name=name)
+    circuit = parse_circuit(text)
     result = run_circuit(circuit, engine=args.engine, max_photons=args.max_photons)
     if args.format == "json":
         payload = {
@@ -188,27 +180,20 @@ def _cmd_trace(args) -> int:
 def _cmd_airy(args) -> int:
     if args.z1 is not None and args.z2 is not None:
         raise ValueError("give at most one of --z1 and --z2")
+    # 1/z1 + 1/z2 = 1/f is symmetric, so one solver gives either distance
     if args.z2 is not None:
-        from .mirror import image_distance
-
-        # invert the imaging equation to recover z1 for the given plane
         z2 = args.z2
         z1 = image_distance(z2, args.focal)
-        geometry = MirrorGeometry(
-            focal_length=args.focal,
-            aperture_radius=args.aperture,
-            wavelength=args.wavelength,
-            z1=z1,
-            z2=z2,
-        )
     else:
         z1 = args.z1 if args.z1 is not None else 2.0 * args.focal
-        geometry = MirrorGeometry.imaging(
-            focal_length=args.focal,
-            aperture_radius=args.aperture,
-            wavelength=args.wavelength,
-            z1=z1,
-        )
+        z2 = image_distance(z1, args.focal)
+    geometry = MirrorGeometry(
+        focal_length=args.focal,
+        aperture_radius=args.aperture,
+        wavelength=args.wavelength,
+        z1=z1,
+        z2=z2,
+    )
     samples = airy_profile(
         geometry,
         args.samples,
@@ -342,26 +327,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a bad flag
         return 0 if exc.code == 0 else 1
-    if hasattr(args, "max_photons") and args.max_photons is None:
-        try:
-            args.max_photons = _default_max_photons()
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 1
     try:
+        if hasattr(args, "max_photons") and args.max_photons is None:
+            args.max_photons = _default_max_photons()
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except EngineDisagreementError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (PhotonBudgetError, TruncationError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
     except (FockPathError, ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 def console_entry() -> None:

@@ -82,19 +82,17 @@ def _coherent_magnitude(gamma: complex) -> float:
     return magnitude
 
 
-def default_truncation(
-    gamma: complex, tail_tol: float = TAIL_TOL, cap: int | None = None
-) -> int:
-    """Smallest cutoff whose neglected Poisson tail is below tail_tol."""
+def default_truncation(gamma: complex, cap: int | None = None) -> int:
+    """Smallest cutoff whose neglected Poisson tail is below TAIL_TOL."""
     magnitude = _coherent_magnitude(gamma)
     mean = magnitude * magnitude
     n = 0
-    while poisson_tail(mean, n) >= tail_tol:
+    while poisson_tail(mean, n) >= TAIL_TOL:
         n += 1
         if cap is not None and n > cap:
             raise TruncationError(
                 f"coherent source |gamma|={magnitude:.6g} needs more than "
-                f"{cap} Fock terms for tail < {tail_tol:.1e}"
+                f"{cap} Fock terms for tail < {TAIL_TOL:.1e}"
             )
     return n
 

@@ -30,6 +30,7 @@ from .fock import Mode
 
 __all__ = [
     "UNITARY_TOL",
+    "SPLIT50",
     "ModeTransform",
     "unitarity_defect",
     "require_unitary",
@@ -47,6 +48,9 @@ __all__ = [
 # Tolerance for user-supplied coefficients; constructors built from angles
 # are exact to rounding.
 UNITARY_TOL = 1e-9
+
+# (rho, tau) of the balanced splitter, ``rbs split=50`` in a circuit file
+SPLIT50 = (complex(1.0 / math.sqrt(2.0), 0.0), complex(0.0, 1.0 / math.sqrt(2.0)))
 
 Matrix = tuple[tuple[complex, ...], ...]
 
@@ -214,8 +218,7 @@ def make_split50_rbs(
     out_modes: tuple[Mode, Mode] | None = None,
 ) -> ModeTransform:
     """Balanced splitter with rho = 1/sqrt(2), tau = i/sqrt(2)."""
-    inv = 1.0 / math.sqrt(2.0)
-    return make_rbs(inv, 1j * inv, in_modes=in_modes, out_modes=out_modes)
+    return make_rbs(*SPLIT50, in_modes=in_modes, out_modes=out_modes)
 
 
 def make_pbs(

@@ -4,6 +4,8 @@
 class FockPathError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 1  # the status ``fockpath`` exits with on this error
+
 
 class NullStateError(FockPathError, ValueError):
     """An operation required a state with positive norm."""
@@ -33,9 +35,13 @@ class ModeMismatchError(FockPathError, ValueError):
 class PhotonBudgetError(FockPathError):
     """Total photon number exceeds the configured maximum."""
 
+    exit_code = 4
+
 
 class TruncationError(FockPathError, ValueError):
     """A coherent-state truncation cannot satisfy the requested tail bound."""
+
+    exit_code = 4
 
 
 class ConvergenceError(FockPathError):
@@ -45,15 +51,17 @@ class ConvergenceError(FockPathError):
 class EngineDisagreementError(FockPathError):
     """The two evolution engines disagree beyond tolerance."""
 
-    def __init__(self, discrepancy: float, message: str | None = None):
+    exit_code = 3
+
+    def __init__(self, discrepancy: float):
         self.discrepancy = discrepancy
-        if message is None:
-            message = f"engines disagree: max amplitude difference {discrepancy:.3e}"
-        super().__init__(message)
+        super().__init__(f"engines disagree: max amplitude difference {discrepancy:.3e}")
 
 
 class ParseError(FockPathError, ValueError):
     """Circuit-file syntax or validation error, with source location."""
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int, col: int = 1):
         self.line = line

@@ -181,10 +181,6 @@ class BasisState:
         return self._items
 
     @property
-    def modes(self) -> tuple[Mode, ...]:
-        return tuple(m for m, _ in self._items)
-
-    @property
     def total(self) -> int:
         return sum(n for _, n in self._items)
 

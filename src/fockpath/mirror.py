@@ -323,13 +323,14 @@ def _radial_quadrature(
     return out
 
 
-def _settled(coarse, fine, n: int, geometry: MirrorGeometry) -> np.ndarray:
-    """The fine (2n-node) values, once each agrees with its n-node value.
+def _settled(quadrature, n: int, geometry: MirrorGeometry) -> np.ndarray:
+    """``quadrature(2 * n)`` once each value agrees with ``quadrature(n)``;
+    ``quadrature(m)`` evaluates the amplitudes with m nodes.
 
     Raises ConvergenceError for the first value whose change exceeds 1e-8
     of max(|fine|, pi R^2); NaN never counts as settled.
     """
-    coarse, fine = np.atleast_1d(coarse), np.atleast_1d(fine)
+    coarse, fine = np.atleast_1d(quadrature(n)), np.atleast_1d(quadrature(2 * n))
     delta = np.abs(fine - coarse)
     scale = np.maximum(np.abs(fine), math.pi * geometry.aperture_radius**2)
     unsettled = np.flatnonzero(~(delta <= 1e-8 * scale))
@@ -342,17 +343,12 @@ def _settled(coarse, fine, n: int, geometry: MirrorGeometry) -> np.ndarray:
     return fine
 
 
-def _on_axis_amplitudes(
-    rho2: np.ndarray,
-    geometry: MirrorGeometry,
-    include_aberration: bool,
-    nodes: int | None = None,
+def _on_axis(
+    rho2, geometry: MirrorGeometry, include_aberration: bool, nodes: int | None = None
 ) -> np.ndarray:
     """Settled radial quadrature at every detector radius in rho2."""
-    n = 256 if nodes is None else nodes
-    coarse = _radial_quadrature(rho2, geometry, n, include_aberration)
-    fine = _radial_quadrature(rho2, geometry, 2 * n, include_aberration)
-    return _settled(coarse, fine, n, geometry)
+    quadrature = lambda m: _radial_quadrature(rho2, geometry, m, include_aberration)
+    return _settled(quadrature, 256 if nodes is None else nodes, geometry)
 
 
 def _polar_quadrature(
@@ -406,11 +402,9 @@ def focal_amplitude_quadrature(
     """
     if geometry.source == (0.0, 0.0):
         rho2 = [math.hypot(*point)]
-        return complex(_on_axis_amplitudes(rho2, geometry, include_aberration, nodes)[0])
-    n = 128 if nodes is None else nodes
-    coarse = _polar_quadrature(point, geometry, n, include_aberration)
-    fine = _polar_quadrature(point, geometry, 2 * n, include_aberration)
-    return complex(_settled(coarse, fine, n, geometry)[0])
+        return complex(_on_axis(rho2, geometry, include_aberration, nodes)[0])
+    quadrature = lambda m: _polar_quadrature(point, geometry, m, include_aberration)
+    return complex(_settled(quadrature, 128 if nodes is None else nodes, geometry)[0])
 
 
 def airy_profile(
@@ -434,7 +428,7 @@ def airy_profile(
     elif not 0 <= r_max < math.inf:  # also rejects NaN
         raise ValueError(f"r_max must be finite and non-negative, got {r_max!r}")
     radii = r_max * np.arange(n_samples) / (n_samples - 1)
-    amps = _on_axis_amplitudes(radii, geometry, include_aberration)
+    amps = _on_axis(radii, geometry, include_aberration)
     return [
         FieldSample(position=float(r), amplitude=complex(a)) for r, a in zip(radii, amps)
     ]

@@ -201,7 +201,7 @@ def test_criterion_06_transmitted_port_statistics():
 
 
 def test_criterion_07_interferometer_demos(circuits_dir):
-    mzi = parse_circuit((circuits_dir / "mzi.fpc").read_text(), name="mzi")
+    mzi = parse_circuit((circuits_dir / "mzi.fpc").read_text())
     result = run_circuit(mzi, engine="both")
     amp = result.state.amplitude(
         BasisState({Mode("o3", "x"): 1, Mode("o4", "x"): 1})
@@ -209,7 +209,7 @@ def test_criterion_07_interferometer_demos(circuits_dir):
     assert abs(amp - 1j) < 1e-12
     assert sum(abs(a) ** 2 for _, a in result.state) == pytest.approx(1.0)
 
-    hom = parse_circuit((circuits_dir / "hom.fpc").read_text(), name="hom")
+    hom = parse_circuit((circuits_dir / "hom.fpc").read_text())
     out = run_circuit(hom, engine="both")
     coincidence = out.state.amplitude(
         BasisState({Mode("c", "x"): 1, Mode("d", "x"): 1})
@@ -313,7 +313,7 @@ def test_criterion_12_parser_corpus(circuits_dir, data_dir, capsys):
     assert len(files) >= 10
     for path in files:
         text = path.read_text()
-        assert serialize_circuit(parse_circuit(text, name=path.stem)) == text
+        assert serialize_circuit(parse_circuit(text)) == text
 
     expected_lines = {
         "bad_keyword.fpc": 3,
@@ -325,7 +325,7 @@ def test_criterion_12_parser_corpus(circuits_dir, data_dir, capsys):
     for name, line in expected_lines.items():
         path = data_dir / name
         with pytest.raises(ParseError) as err:
-            parse_circuit(path.read_text(), name=name)
+            parse_circuit(path.read_text())
         assert err.value.line == line, name
         code = cli_main(["run", str(path)])
         capsys.readouterr()

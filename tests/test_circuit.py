@@ -215,7 +215,7 @@ def test_malformed_corpus_diagnostics(data_dir):
     for name, line in expectations.items():
         text = (data_dir / name).read_text()
         with pytest.raises(ParseError) as err:
-            parse_circuit(text, name=name)
+            parse_circuit(text)
         assert err.value.line == line, name
         assert err.value.col >= 1
 
@@ -228,9 +228,9 @@ def test_corpus_round_trips_byte_stably(circuits_dir):
     assert len(files) >= 10
     for path in files:
         text = path.read_text()
-        circuit = parse_circuit(text, name=path.stem)
+        circuit = parse_circuit(text)
         assert serialize_circuit(circuit) == text, path.name
-        again = parse_circuit(serialize_circuit(circuit), name=path.stem)
+        again = parse_circuit(serialize_circuit(circuit))
         assert again == circuit, path.name
 
 
@@ -249,7 +249,7 @@ def test_serialize_formats_numbers_compactly():
 
 
 def test_mzi_interferometer_output():
-    c = parse_circuit(DEMO_CIRCUITS["mzi"], name="mzi")
+    c = parse_circuit(DEMO_CIRCUITS["mzi"])
     result = run_circuit(c, engine="both")
     key = BasisState({Mode("o3", "x"): 1, Mode("o4", "x"): 1})
     assert result.state.amplitude(key) == pytest.approx(1j, abs=1e-12)
@@ -259,7 +259,7 @@ def test_mzi_interferometer_output():
 
 
 def test_hom_demo_no_coincidences():
-    c = parse_circuit(DEMO_CIRCUITS["hom"], name="hom")
+    c = parse_circuit(DEMO_CIRCUITS["hom"])
     result = run_circuit(c, engine="both")
     coincidence = result.state.amplitude(
         BasisState({Mode("c", "x"): 1, Mode("d", "x"): 1})
@@ -278,7 +278,7 @@ def test_source_only_circuit_passes_through():
 
 
 def test_engine_selection_single():
-    c = parse_circuit(DEMO_CIRCUITS["hom"], name="hom")
+    c = parse_circuit(DEMO_CIRCUITS["hom"])
     for engine in ("paths", "operators"):
         result = run_circuit(c, engine=engine)
         assert result.engine == engine

@@ -12,6 +12,7 @@ from fockpath import PhotonState
 from fockpath.cli import main
 import fockpath.circuit
 import fockpath.cli
+import fockpath.errors
 import fockpath.fock
 import fockpath.operators
 
@@ -301,6 +302,43 @@ def test_engine_disagreement_exit_code(capsys, monkeypatch):
         code, _, err = run_main(["run", "--demo", "hom"], capsys)
     assert code == 3
     assert "disagree" in err
+
+
+# The exit code of each error type, as the ``cli`` docstring and the README's
+# exit-code table give them; every other error type exits 1.
+DOCUMENTED_EXIT_CODES = {
+    "ParseError": 2,
+    "EngineDisagreementError": 3,
+    "PhotonBudgetError": 4,
+    "TruncationError": 4,
+}
+PACKAGE_ERRORS = [
+    cls
+    for cls in vars(fockpath.errors).values()
+    if isinstance(cls, type) and issubclass(cls, fockpath.errors.FockPathError)
+]
+
+
+def _instance(cls):
+    if cls is fockpath.errors.ParseError:
+        return cls("bad token", 3, 7)
+    if cls is fockpath.errors.EngineDisagreementError:
+        return cls(2.5e-6)
+    return cls("something went wrong")
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(_instance(cls), DOCUMENTED_EXIT_CODES.get(cls.__name__, 1)) for cls in PACKAGE_ERRORS]
+    + [(ValueError("bad value"), 1), (OSError("no disk"), 1), (ArithmeticError("nan"), 1)],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_every_error_type_exits_with_its_documented_code(exc, code, capsys, monkeypatch):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(fockpath.cli, "_cmd_run", failing)
+    assert run_main(["run", "--demo", "hom"], capsys) == (code, "", f"error: {exc}\n")
 
 
 # --- trace ----------------------------------------------------------------------

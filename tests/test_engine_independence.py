@@ -1,10 +1,13 @@
 """The two evolution engines share no evolution code.
 
 Their agreement is the package's correctness argument, so neither
-``paths.py`` nor ``operators.py`` may import the other.
+``paths.py`` nor ``operators.py`` may import the other.  Every module's
+imports are also kept in use, so a name one module no longer needs does not
+stay behind.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,67 @@ def test_import_scan_sees_every_import_form():
         "from fockpath.operators import apply_transform",
     ):
         assert "operators" in imported_modules(line)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the source imports and never reads or lists in ``__all__``.
+
+    A line marked ``# noqa: F401`` may keep one such name: those are kept on
+    purpose for code that looks them up on the module.  Two unused names on
+    one marked line are both reported, since the mark can stand for only one.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.extend(
+                (alias.asname or alias.name.split(".")[0], alias.lineno)
+                for alias in node.names
+            )
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    used = read | exported
+    unused = [(name, line) for name, line in imported if name not in used]
+    per_line = Counter(line for _, line in unused)
+    return sorted(
+        name
+        for name, line in unused
+        if "# noqa: F401" not in lines[line - 1] or per_line[line] > 1
+    )
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+)
+def test_module_imports_only_names_it_uses(module):
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert unused_imports(source) == []
+
+
+def test_unused_import_scan():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .a import b, c  # noqa: F401\n"
+        "from .d import (\n"
+        "    e,\n"
+        "    f,  # noqa: F401\n"
+        "    g,\n"
+        ")\n"
+        "from .h import i, j  # noqa: F401\n"
+        "__all__ = ['g']\n"
+        "print(np.pi, e, b, i)\n"
+    )
+    assert unused_imports(source) == ["os"]
+    # a second unused name on a marked line is not covered by the mark
+    assert unused_imports(source.replace("np.pi, e, b", "np.pi, e")) == ["b", "c", "os"]
