@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .circuit import (
     DEMO_CIRCUITS,
+    RunResult,
     _parse_cplx,
     cross_check,
     parse_circuit,
@@ -32,7 +33,7 @@ from .circuit import (
 )
 from .elements import make_rbs, make_split50_rbs, make_waveplate
 from .errors import FockPathError, ParseError
-from .fock import DEFAULT_MAX_PHOTONS, PhotonState, state_to_json_obj
+from .fock import DEFAULT_MAX_PHOTONS, PhotonState
 from .mirror import MirrorGeometry, airy_profile, image_distance
 from .paths import trace_paths
 
@@ -82,11 +83,51 @@ def _parse_cli_complex(text: str) -> complex:
         raise ValueError(f"malformed complex number {text!r} (expected RE+IMi)")
 
 
-def _state_rows(state: PhotonState) -> list[dict]:
-    return [
-        {**row, "re": _round12(row["re"]), "im": _round12(row["im"])}
-        for row in state_to_json_obj(state)
-    ]
+# one element of run's "state" array, laid out as json.dumps(indent=2) lays
+# out the array as a value of the top-level object
+_STATE_ROW = '\n    {\n      "occupancy": %s,\n      "re": %r,\n      "im": %r\n    }'
+
+
+def _state_json(state: PhotonState) -> str:
+    """The text ``json.dumps(..., indent=2)`` gives ``run``'s ``state``
+    array: each term's occupancy with its rounded real and imaginary parts,
+    in ``sorted_terms`` order.  A finite float is written by its ``repr``,
+    as ``json`` writes it."""
+    terms = state.sorted_terms()
+    modes = {mode for basis, _ in terms for mode, _ in basis.items()}
+    keys = {mode: f"\n        {json.dumps(mode.label())}: " for mode in modes}
+    rows = []
+    for basis, amp in terms:
+        occupancy = ",".join([keys[mode] + str(n) for mode, n in basis.items()])
+        rows.append(
+            _STATE_ROW
+            % (
+                "{" + occupancy + "\n      }" if occupancy else "{}",
+                _round12(amp.real),
+                _round12(amp.imag),
+            )
+        )
+    return "[" + ",".join(rows) + "\n  ]" if rows else "[]"
+
+
+def _run_json(result: RunResult) -> str:
+    """``run``'s JSON text: the ``json.dumps(..., indent=2)`` text of
+    ``engine``, the ``state`` rows, ``distributions`` and ``discrepancy``,
+    with all values rounded by ``_round12``, and a newline."""
+    rest = {
+        "distributions": {
+            port: {str(n): _round12(p) for n, p in dist.items()}
+            for port, dist in result.distributions.items()
+        },
+        "discrepancy": None
+        if result.discrepancy is None
+        else _round12(result.discrepancy),
+    }
+    return (
+        f'{{\n  "engine": {json.dumps(result.engine)},\n'
+        f'  "state": {_state_json(result.state)},\n'
+        f"{json.dumps(rest, indent=2)[2:]}\n"
+    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -110,18 +151,9 @@ def _cmd_run(args) -> int:
     circuit = parse_circuit(text)
     result = run_circuit(circuit, engine=args.engine, max_photons=args.max_photons)
     if args.format == "json":
-        payload = {
-            "engine": result.engine,
-            "state": _state_rows(result.state),
-            "distributions": {
-                port: {str(n): _round12(p) for n, p in dist.items()}
-                for port, dist in result.distributions.items()
-            },
-            "discrepancy": None
-            if result.discrepancy is None
-            else _round12(result.discrepancy),
-        }
-        out = json.dumps(payload, indent=2) + "\n"
+        # json.dumps indents in pure Python, so _run_json writes the state
+        # rows, nearly all of the text, itself
+        out = _run_json(result)
     else:
         lines = ["basis,re,im"]
         for basis, amp in result.state.sorted_terms():
@@ -177,15 +209,33 @@ def _cmd_trace(args) -> int:
 # airy
 
 
+def _conjugate_distance(flag: str, given: float, focal: float) -> float:
+    """The distance conjugate to ``given``, the plane that ``flag`` sets:
+    1/z1 + 1/z2 = 1/f is symmetric, so one solver gives either.  Errors
+    name ``flag``; a plane at or inside the focal length has no real
+    conjugate."""
+    if not 0 < given < math.inf:  # also rejects NaN
+        raise ValueError(f"{flag} must be positive and finite, got {given!r}")
+    other = image_distance(given, focal, plane=f"the {flag} plane")
+    if other < 0:
+        raise ValueError(
+            f"the {flag} plane at {given:g} m is inside the focal length "
+            f"{focal:g} m, so it has no real conjugate plane"
+        )
+    return other
+
+
 def _cmd_airy(args) -> int:
     if args.z1 is not None and args.z2 is not None:
         raise ValueError("give at most one of --z1 and --z2")
-    # 1/z1 + 1/z2 = 1/f is symmetric, so one solver gives either distance
     if args.z2 is not None:
         z2 = args.z2
-        z1 = image_distance(z2, args.focal)
+        z1 = _conjugate_distance("--z2", z2, args.focal)
+    elif args.z1 is not None:
+        z1 = args.z1
+        z2 = _conjugate_distance("--z1", z1, args.focal)
     else:
-        z1 = args.z1 if args.z1 is not None else 2.0 * args.focal
+        z1 = 2.0 * args.focal
         z2 = image_distance(z1, args.focal)
     geometry = MirrorGeometry(
         focal_length=args.focal,

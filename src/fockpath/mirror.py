@@ -174,12 +174,13 @@ class FieldSample(NamedTuple):
     amplitude: complex
 
 
-def image_distance(z1: float, focal_length: float) -> float:
-    """Solve 1/z1 + 1/z2 = 1/f for z2."""
+def image_distance(z1: float, focal_length: float, plane: str = "source") -> float:
+    """Solve 1/z1 + 1/z2 = 1/f for z2; errors call the plane at z1
+    ``plane``.  A z1 inside the focal length gives a negative z2."""
     if z1 <= 0 or focal_length <= 0:
         raise ValueError("distances must be positive")
     if math.isclose(z1, focal_length, rel_tol=1e-12):
-        raise ValueError("source at the focal distance images at infinity")
+        raise ValueError(f"{plane} at the focal distance images at infinity")
     return 1.0 / (1.0 / focal_length - 1.0 / z1)
 
 
