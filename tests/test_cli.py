@@ -7,6 +7,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fockpath import PhotonState
 from fockpath.cli import main
@@ -110,6 +112,82 @@ def test_run_per_engine_and_csv_match_golden_output(name, form, circuits_dir, ca
         assert payload["distributions"][port].keys() == dist.keys()
         for n, p in dist.items():
             assert abs(payload["distributions"][port][n] - p) <= 1e-12
+
+
+def _dumped_run_json(result):
+    """``run``'s JSON as ``json.dumps(indent=2)`` writes the whole payload."""
+    round12 = fockpath.cli._round12
+    payload = {
+        "engine": result.engine,
+        "state": [
+            {**row, "re": round12(row["re"]), "im": round12(row["im"])}
+            for row in fockpath.fock.state_to_json_obj(result.state)
+        ],
+        "distributions": {
+            port: {str(n): round12(p) for n, p in dist.items()}
+            for port, dist in result.distributions.items()
+        },
+        "discrepancy": None if result.discrepancy is None else round12(result.discrepancy),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+MODES = [
+    fockpath.fock.Mode(port, pol) for port in ("a", "b", "p10") for pol in ("x", "y", "x'", "y'")
+]
+# parts _round12 sends to 0.0 or 1.0, and magnitudes whose repr has an exponent
+EDGE_PARTS = [0.0, -0.0, 1 - 1e-13, -(1 - 1e-13), 0.9999999999996, 1e-13, -1.234567890123e-13, 3e-5]
+part = st.one_of(st.sampled_from(EDGE_PARTS), st.floats(-1.0, 1.0))
+count = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, fockpath.fock.MAX_COUNT))
+
+
+@st.composite
+def run_results(draw):
+    modes = draw(st.lists(st.sampled_from(MODES), min_size=1, max_size=6, unique=True))
+    occupancies = draw(st.lists(st.lists(count, min_size=len(modes), max_size=len(modes)), max_size=8))
+    terms = [(dict(zip(modes, counts)), complex(draw(part), draw(part))) for counts in occupancies]
+    distributions = draw(
+        st.dictionaries(
+            st.sampled_from(["a", "b", "p10"]),
+            st.dictionaries(st.integers(0, fockpath.fock.MAX_COUNT), st.floats(0.0, 1.0), max_size=3),
+        )
+    )
+    return fockpath.circuit.RunResult(
+        engine=draw(st.sampled_from(["both", "paths", "operators"])),
+        state=PhotonState(terms),
+        distributions=distributions,
+        discrepancy=draw(st.one_of(st.none(), st.sampled_from(EDGE_PARTS[:2]), st.floats(0.0, 1.0))),
+    )
+
+
+VACUUM_AND_EDGES = fockpath.circuit.RunResult(
+    engine="both",
+    state=PhotonState(
+        [({}, complex(1 - 1e-13, -0.0)), ({MODES[3]: fockpath.fock.MAX_COUNT}, 1.5e-13j)]
+    ),
+    distributions={"a": {0: 1 - 1e-13, 170: 0.0}},
+    discrepancy=2.5e-13,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_results())
+@example(VACUUM_AND_EDGES)
+def test_run_json_is_the_indented_dump_of_the_payload(result):
+    """``run`` writes its JSON byte for byte as ``json.dumps(indent=2)``
+    writes the payload of rounded rows."""
+    assert fockpath.cli._run_json(result) == _dumped_run_json(result)
+
+
+def test_readme_run_sample_is_the_real_output(capsys):
+    """The README's ``run --demo hom`` sample, up to its ``...``, is the
+    first lines of the real output."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("$ fockpath run --demo hom\n", 1)[1].splitlines()
+    sample = block[: [line.strip() for line in block].index("...")]
+    code, out, err = run_main(["run", "--demo", "hom"], capsys)
+    assert code == 0, err
+    assert out.splitlines()[: len(sample)] == sample
 
 
 def test_run_requires_exactly_one_circuit(tmp_path, capsys):
@@ -512,6 +590,21 @@ def test_airy_aberration_lowers_peak(capsys):
     area = math.pi * 0.01**2
     peak = float(out.splitlines()[1].split(",")[3])
     assert 0.98 * area < peak < 0.999 * area
+
+
+@pytest.mark.parametrize(
+    "argv, flag, problem",
+    [
+        (["--z2", "0.2"], "--z2", "at the focal distance"),
+        (["--z2", "0.1"], "--z2", "inside the focal length"),
+        (["--z1", "0.1"], "--z1", "inside the focal length"),
+        (["--z2", "nan"], "--z2", "positive and finite"),
+    ],
+)
+def test_airy_distance_errors_name_the_given_plane(capsys, argv, flag, problem):
+    code, out, err = run_main(["airy", "--samples", "4", *argv], capsys)
+    assert (code, out) == (1, "")
+    assert flag in err and problem in err, err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.001"])
