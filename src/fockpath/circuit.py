@@ -29,7 +29,6 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
 
 from . import fock, operators, paths
 from .coherent import CoherentParams, coherent_state, default_truncation
@@ -47,7 +46,6 @@ from .errors import (
     EnergyConservationError,
     EngineDisagreementError,
     FockPathError,
-    ModeMismatchError,
     NonUnitaryError,
     ParseError,
     PhaseRelationError,
@@ -69,11 +67,7 @@ __all__ = [
     "ENGINE_TOLERANCE",
     "SourceSpec",
     "SourceStmt",
-    "RbsStmt",
-    "PbsStmt",
-    "WaveplateStmt",
-    "RotpolStmt",
-    "PhaseStmt",
+    "ElementStmt",
     "Circuit",
     "RunResult",
     "parse_circuit",
@@ -123,47 +117,19 @@ class SourceStmt:
 
 
 @dataclass(frozen=True)
-class RbsStmt:
-    split50: bool
-    rho: complex
-    tau: complex
-    inputs: tuple[str, str]
-    outputs: tuple[str, str]
+class ElementStmt:
+    """One element statement: its keyword, its numbers in the order the
+    statement gives them (angles in degrees; no numbers for ``rbs
+    split=50``) and its ports, inputs first."""
+
+    kind: str  # rbs | pbs | waveplate | rotpol | phase
+    values: tuple = ()
+    ports: tuple[str, ...] = ()
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class PbsStmt:
-    axis_deg: float
-    input: str
-    transmitted: str
-    reflected: str
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class WaveplateStmt:
-    phase_deg: float
-    axis_deg: float
-    port: str
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class RotpolStmt:
-    angle_deg: float
-    port: str
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class PhaseStmt:
-    deg: float
-    port: str
-    line: int = field(default=0, compare=False)
-
-
-ElementStmt = Union[RbsStmt, PbsStmt, WaveplateStmt, RotpolStmt, PhaseStmt]
+# the KEY= names, in statement order, of each ``KIND KEY=DEG ... on PORT`` element
+_ON_PORT = {"waveplate": ("phase", "axis"), "rotpol": ("angle",), "phase": ("deg",)}
 
 
 @dataclass(frozen=True)
@@ -287,13 +253,13 @@ def _optional_pol(line: _Line) -> str:
     return pol
 
 
-def _floats_on_port(line: _Line, declared: set[str], *keys: str) -> tuple:
-    """The ``KEY=FLOAT ... on PORT`` rest of a line: the floats, then the port."""
-    values = [_kv_float(line, key) for key in keys]
+def _parse_on_port(line: _Line, declared: set[str], kind: str) -> ElementStmt:
+    """The ``KEY=FLOAT ... on PORT`` rest of a one-port element's line."""
+    values = tuple(_kv_float(line, key) for key in _ON_PORT[kind])
     _keyword(line, "on")
     port, _ = _declared_port(line, declared)
     line.finish()
-    return (*values, port)
+    return ElementStmt(kind, values, (port,), line.number)
 
 
 def _parse_source(line: _Line, declared: set[str], sourced: set[str]) -> SourceStmt:
@@ -333,21 +299,20 @@ def _parse_port_pair(line: _Line, declared: set[str]) -> tuple[str, str]:
     return p1, p2
 
 
-def _parse_rbs(line: _Line, declared: set[str]) -> RbsStmt:
+def _parse_rbs(line: _Line, declared: set[str]) -> ElementStmt:
     tok = line.peek()
     if tok is None:
         raise ParseError("expected splitter coefficients", line.number, 1)
     if tok[0] == "split=50":
         line.take("split=50")
-        split50 = True
-        rho, tau = SPLIT50
+        values = ()
         rcol = tok[1]
     else:
         value, rcol = _kv(line, "r")
         rho = _parse_cplx(value, line.number, rcol)
         value, tcol = _kv(line, "t")
         tau = _parse_cplx(value, line.number, tcol)
-        split50 = False
+        values = (rho, tau)
         try:
             _validate_rbs_coefficients(rho, tau)
         except EnergyConservationError as exc:
@@ -367,22 +332,19 @@ def _parse_rbs(line: _Line, declared: set[str]) -> RbsStmt:
             rcol,
         )
     line.finish()
-    return RbsStmt(split50=split50, rho=rho, tau=tau, inputs=ins, outputs=outs, line=line.number)
+    return ElementStmt("rbs", values, ins + outs, line.number)
 
 
-def _parse_pbs(line: _Line, declared: set[str]) -> PbsStmt:
+def _parse_pbs(line: _Line, declared: set[str]) -> ElementStmt:
     value, col = _kv(line, "axis")
     axis = _parse_float(value, line.number, col)
     src, _ = _declared_port(line, declared)
     _keyword(line, "->")
-    transmitted, reflected = _parse_port_pair(line, declared)
-    if src in (transmitted, reflected):
+    outs = _parse_port_pair(line, declared)
+    if src in outs:
         raise ParseError("polarizing splitter ports must be distinct", line.number, col)
     line.finish()
-    return PbsStmt(
-        axis_deg=axis, input=src, transmitted=transmitted, reflected=reflected,
-        line=line.number,
-    )
+    return ElementStmt("pbs", (axis,), (src, *outs), line.number)
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -412,37 +374,21 @@ def parse_circuit(text: str) -> Circuit:
             elements.append(_parse_rbs(line, declared))
         elif head == "pbs":
             elements.append(_parse_pbs(line, declared))
-        elif head == "waveplate":
-            phase, axis, port = _floats_on_port(line, declared, "phase", "axis")
-            elements.append(WaveplateStmt(phase_deg=phase, axis_deg=axis, port=port, line=number))
-        elif head == "rotpol":
-            angle, port = _floats_on_port(line, declared, "angle")
-            elements.append(RotpolStmt(angle_deg=angle, port=port, line=number))
-        elif head == "phase":
-            deg, port = _floats_on_port(line, declared, "deg")
-            elements.append(PhaseStmt(deg=deg, port=port, line=number))
+        elif head in _ON_PORT:
+            elements.append(_parse_on_port(line, declared, head))
         else:
             raise ParseError(f"unknown keyword {head!r}", number, hcol)
     circuit = Circuit(ports=tuple(ports), sources=tuple(sources), elements=tuple(elements))
-    _validate_circuit(circuit)
-    return circuit
-
-
-def _validate_circuit(circuit: Circuit):
-    has_coherent = any(s.spec.kind == "coherent" for s in circuit.sources)
-    if has_coherent:
+    if any(s.spec.kind == "coherent" for s in circuit.sources):
         for st in circuit.elements:
-            if isinstance(st, (PbsStmt, RotpolStmt)):
+            if st.kind in ("pbs", "rotpol"):
                 raise ParseError(
                     "coherent sources only combine with rbs, waveplate and "
                     "phase elements",
                     st.line,
                 )
-    try:
-        circuit.bound  # elaborated here, so a basis mismatch fails at parse time
-    except ModeMismatchError as exc:
-        line = getattr(exc, "line", 0)
-        raise ParseError(str(exc), line) from exc
+    circuit.bound  # elaborated here, so a basis mismatch fails at parse time
+    return circuit
 
 
 def _fmt(value: float) -> str:
@@ -477,24 +423,19 @@ def serialize_circuit(circuit: Circuit) -> str:
         else:  # pragma: no cover - specs are built by the parser
             raise ValueError(f"unknown source kind {spec.kind!r}")
     for st in circuit.elements:
-        if isinstance(st, RbsStmt):
-            coeff = "split=50" if st.split50 else f"r={_fmt_cplx(st.rho)} t={_fmt_cplx(st.tau)}"
-            lines.append(
-                f"rbs {coeff} {st.inputs[0]} {st.inputs[1]} -> "
-                f"{st.outputs[0]} {st.outputs[1]}"
-            )
-        elif isinstance(st, PbsStmt):
-            lines.append(
-                f"pbs axis={_fmt(st.axis_deg)} {st.input} -> {st.transmitted} {st.reflected}"
-            )
-        elif isinstance(st, WaveplateStmt):
-            lines.append(
-                f"waveplate phase={_fmt(st.phase_deg)} axis={_fmt(st.axis_deg)} on {st.port}"
-            )
-        elif isinstance(st, RotpolStmt):
-            lines.append(f"rotpol angle={_fmt(st.angle_deg)} on {st.port}")
-        elif isinstance(st, PhaseStmt):
-            lines.append(f"phase deg={_fmt(st.deg)} on {st.port}")
+        if st.kind in _ON_PORT:
+            keys = " ".join(f"{k}={_fmt(v)}" for k, v in zip(_ON_PORT[st.kind], st.values))
+            lines.append(f"{st.kind} {keys} on {st.ports[0]}")
+            continue
+        if st.kind == "pbs":
+            coeff = f"axis={_fmt(st.values[0])}"
+        elif st.values:
+            coeff = f"r={_fmt_cplx(st.values[0])} t={_fmt_cplx(st.values[1])}"
+        else:
+            coeff = "split=50"
+        # rbs and pbs both end in two output ports
+        ins, outs = " ".join(st.ports[:-2]), " ".join(st.ports[-2:])
+        lines.append(f"{st.kind} {coeff} {ins} -> {outs}")
     return "\n".join(lines) + "\n"
 
 
@@ -555,7 +496,8 @@ def source_budget(spec: SourceSpec, max_photons: int = DEFAULT_MAX_PHOTONS) -> i
 
 def elaborate(circuit: Circuit) -> list[tuple[ModeTransform, int]]:
     """Bind statements to concrete mode transforms, tracking each port's
-    polarization axis pair (rotated polarizing splitters relabel to x'/y')."""
+    polarization axis pair (rotated polarizing splitters relabel to x'/y').
+    A splitter whose inputs carry different pairs is a ParseError at its line."""
     pairs: dict[str, tuple[str, str]] = {}
 
     def axis_pair(port: str) -> tuple[str, str]:
@@ -563,55 +505,49 @@ def elaborate(circuit: Circuit) -> list[tuple[ModeTransform, int]]:
 
     bound: list[tuple[ModeTransform, int]] = []
     for st in circuit.elements:
-        if isinstance(st, RbsStmt):
-            pin = axis_pair(st.inputs[0])
-            pin2 = axis_pair(st.inputs[1])
+        kind, values, ports = st.kind, st.values, st.ports
+        if kind == "rbs":
+            in1, in2, out1, out2 = ports
+            pin, pin2 = axis_pair(in1), axis_pair(in2)
             if pin != pin2:
-                exc = ModeMismatchError(
-                    f"ports {st.inputs[0]!r} and {st.inputs[1]!r} carry different "
-                    f"polarization bases {pin} vs {pin2}"
+                raise ParseError(
+                    f"ports {in1!r} and {in2!r} carry different "
+                    f"polarization bases {pin} vs {pin2}",
+                    st.line,
                 )
-                exc.line = st.line
-                raise exc
             made = [
                 make_rbs(
-                    st.rho,
-                    st.tau,
-                    in_modes=(Mode(st.inputs[0], ax), Mode(st.inputs[1], ax)),
-                    out_modes=(Mode(st.outputs[0], ax), Mode(st.outputs[1], ax)),
+                    *(values or SPLIT50),
+                    in_modes=(Mode(in1, ax), Mode(in2, ax)),
+                    out_modes=(Mode(out1, ax), Mode(out2, ax)),
                 )
                 for ax in pin
             ]
-            pairs[st.outputs[0]] = pairs[st.outputs[1]] = pin
-        elif isinstance(st, PbsStmt):
+            pairs[out1] = pairs[out2] = pin
+        elif kind == "pbs":
+            src, transmitted, reflected = ports
             t = make_pbs(
-                math.radians(st.axis_deg),
-                in_port=st.input,
-                transmitted_port=st.transmitted,
-                reflected_port=st.reflected,
-                axes=axis_pair(st.input),
+                math.radians(values[0]),
+                in_port=src,
+                transmitted_port=transmitted,
+                reflected_port=reflected,
+                axes=axis_pair(src),
             )
-            pairs[st.transmitted] = pairs[st.reflected] = (t.out_modes[0].pol, t.out_modes[1].pol)
+            pairs[transmitted] = pairs[reflected] = (t.out_modes[0].pol, t.out_modes[1].pol)
             made = [t]
-        elif isinstance(st, WaveplateStmt):
-            made = [
-                make_waveplate(
-                    math.radians(st.phase_deg),
-                    math.radians(st.axis_deg),
-                    port=st.port,
-                    axes=axis_pair(st.port),
-                )
-            ]
-        elif isinstance(st, RotpolStmt):
+        elif kind == "waveplate":
+            phase, axis = map(math.radians, values)
+            made = [make_waveplate(phase, axis, port=ports[0], axes=axis_pair(ports[0]))]
+        elif kind == "rotpol":
             made = [
                 make_polarization_rotation(
-                    math.radians(st.angle_deg), port=st.port, axes=axis_pair(st.port)
+                    math.radians(values[0]), port=ports[0], axes=axis_pair(ports[0])
                 )
             ]
-        elif isinstance(st, PhaseStmt):
+        elif kind == "phase":
             made = [
-                make_phase_shifter(math.radians(st.deg), mode=Mode(st.port, ax))
-                for ax in axis_pair(st.port)
+                make_phase_shifter(math.radians(values[0]), mode=Mode(ports[0], ax))
+                for ax in axis_pair(ports[0])
             ]
         else:
             raise TypeError(f"unknown element statement {st!r}")

@@ -22,7 +22,7 @@ from fockpath import (
     serialize_circuit,
 )
 from fockpath import operators, paths
-from fockpath.circuit import DEMO_CIRCUITS, Circuit, elaborate
+from fockpath.circuit import DEMO_CIRCUITS, Circuit, ElementStmt, elaborate
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -352,7 +352,7 @@ def test_mixed_axis_rbs_rejected():
 
 def test_elaborate_rejects_unknown_statement():
     with pytest.raises(TypeError, match="unknown element statement"):
-        elaborate(Circuit(ports=("a",), elements=("waveplate",)))
+        elaborate(Circuit(ports=("a",), elements=(ElementStmt("laser", (), ("a",)),)))
 
 
 def test_photon_number_conserved_through_circuits():

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -314,6 +316,27 @@ def test_run_non_unitary_splitter_exits_2(tmp_path, capsys):
     assert err.startswith("error: 5:7:") and "not unitary" in err
 
 
+OCCUPIED_OUTPUT = """\
+port a
+port b
+port c
+port d
+source a fock 1 pol x
+source c fock 1 pol x
+rbs split=50 a b -> c d
+"""
+
+
+@pytest.mark.parametrize("engine", ["paths", "operators", "both"])
+def test_run_occupied_output_port_fails_at_its_line(tmp_path, capsys, engine):
+    """An output port that already holds a photon is found when the run
+    reaches the element, not while parsing: exit 1, line only."""
+    f = tmp_path / "occupied.fpc"
+    f.write_text(OCCUPIED_OUTPUT)
+    code, out, err = run_main(["run", str(f), "--engine", engine], capsys)
+    assert (code, out, err) == (1, "", "error: line 7: output mode c.x is already occupied\n")
+
+
 # Each puts more than fock.MAX_COUNT = 170 photons through one element.
 # 171! overflows a float, so these once ended in exit 1 with "int too large
 # to convert to float" and no hint of the cause.
@@ -358,6 +381,30 @@ def test_env_var_sets_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FOCKPATH_MAX_PHOTONS", "9")
     code, _, _ = run_main(["run", str(f)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["run", "--demo", "hom"], "0", "FOCKPATH_MAX_PHOTONS must be at least 1"),
+        (
+            ["trace", "--n1", "1", "--n2", "0", "--element", "rbs",
+             "--r", "0.6", "--t", "0+0.8i"],
+            None,
+            "malformed complex number '0.6' (expected RE+IMi)",
+        ),
+        (
+            ["trace", "--n1", "1", "--n2", "0", "--element", "waveplate"],
+            None,
+            "--element waveplate needs --phase (degrees)",
+        ),
+    ],
+    ids=["budget_env_zero", "trace_malformed_r", "trace_waveplate_without_phase"],
+)
+def test_bad_inputs_exit_1_with_their_message(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("FOCKPATH_MAX_PHOTONS", env)
+    assert run_main(argv, capsys) == (1, "", f"error: {message}\n")
 
 
 def test_env_var_rejects_garbage(capsys, monkeypatch):
@@ -624,6 +671,27 @@ def test_check_reports_worst_discrepancy(capsys):
     assert "max amplitude discrepancy" in out
 
 
+def test_check_failure_reports_the_worst_circuit(capsys, monkeypatch):
+    """A discrepancy at CHECK_TOLERANCE exits 3, and stderr names the
+    circuit that gave it."""
+    texts = []
+    real_text = fockpath.cli.random_circuit_text
+
+    def recording(*args, **kwargs):
+        texts.append(real_text(*args, **kwargs))
+        return texts[-1]
+
+    def third_disagrees(circuit):
+        return 2e-10 if len(texts) == 3 else 0.0
+
+    monkeypatch.setattr(fockpath.cli, "random_circuit_text", recording)
+    monkeypatch.setattr(fockpath.cli, "cross_check", third_disagrees)
+    code, out, err = run_main(["check", "--seed", "7", "--count", "5"], capsys)
+    assert code == 3
+    assert out == "checked 5 random circuits (seed 7); max amplitude discrepancy 2.000e-10\n"
+    assert err == "worst circuit:\n" + texts[2]
+
+
 @pytest.fixture
 def elaborated(monkeypatch):
     """Every circuit passed to ``circuit.elaborate``, one entry per call."""
@@ -698,6 +766,29 @@ def test_output_file_complete_or_absent(tmp_path, capsys):
     code, _, _ = run_main(["run", str(f), "--output", str(bad)], capsys)
     assert code == 4
     assert not bad.exists()
+
+
+def _run_module(*argv):
+    """``python -m fockpath.cli ARGV`` with this checkout's package importable."""
+    src = str(Path(fockpath.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fockpath.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_module_entry_point(data_dir):
+    proc = _run_module("run", "--demo", "hom")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["engine"] == "both"
+    proc = _run_module("run", str(data_dir / "bad_keyword.fpc"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: 3:1: unknown keyword")
 
 
 def test_console_script_installed():

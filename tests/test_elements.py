@@ -13,6 +13,7 @@ from fockpath import (
     EnergyConservationError,
     Mode,
     ModeMismatchError,
+    ModeTransform,
     NonUnitaryError,
     PhaseRelationError,
     PhotonState,
@@ -359,6 +360,28 @@ def test_pbs_rejects_colliding_ports():
         make_pbs(0.0, in_port="a", transmitted_port="a", reflected_port="b")
     with pytest.raises(ModeMismatchError):
         make_pbs(0.0, in_port="a", transmitted_port="b", reflected_port="b")
+
+
+I2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+BX = Mode("b", "x")
+
+
+@pytest.mark.parametrize(
+    "in_modes, out_modes, matrix, message",
+    [
+        ((AX, AY, BX), (AX, AY, BX), I2, "got 3 in, 3 out"),
+        ((AX, AY), (AX,), I2, "got 2 in, 1 out"),
+        ((AX, AX), (AX, AY), I2, "transform modes must be distinct"),
+        ((AX, AY), (AX, BX), I2, "must coincide or be disjoint"),
+        ((AX, AY), (AX, AY), ((1 + 0j,),), "matrix must be 2x2"),
+        ((AX,), (AX,), I2, "matrix must be 1x1"),
+    ],
+)
+def test_mode_transform_rejects_malformed_layouts(in_modes, out_modes, matrix, message):
+    """``ModeTransform`` owns the layout check: arity, distinct modes,
+    coinciding or disjoint mode sets, and the matrix shape."""
+    with pytest.raises(ModeMismatchError, match=message):
+        ModeTransform(in_modes=in_modes, out_modes=out_modes, matrix=matrix)
 
 
 # --- thin sheet ------------------------------------------------------------
