@@ -672,7 +672,7 @@ def test_check_reports_worst_discrepancy(capsys):
 
 
 def test_check_failure_reports_the_worst_circuit(capsys, monkeypatch):
-    """A discrepancy at CHECK_TOLERANCE exits 3, and stderr names the
+    """A discrepancy above CHECK_TOLERANCE exits 3, and stderr names the
     circuit that gave it."""
     texts = []
     real_text = fockpath.cli.random_circuit_text
