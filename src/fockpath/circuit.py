@@ -300,13 +300,10 @@ def _parse_port_pair(line: _Line, declared: set[str]) -> tuple[str, str]:
 
 
 def _parse_rbs(line: _Line, declared: set[str]) -> ElementStmt:
-    tok = line.peek()
-    if tok is None:
-        raise ParseError("expected splitter coefficients", line.number, 1)
+    tok = line.peek() or line.take("splitter coefficients")  # take fails: no token left
     if tok[0] == "split=50":
-        line.take("split=50")
+        _, rcol = line.take("split=50")
         values = ()
-        rcol = tok[1]
     else:
         value, rcol = _kv(line, "r")
         rho = _parse_cplx(value, line.number, rcol)
@@ -710,10 +707,6 @@ DEMO_CIRCUITS: dict[str, str] = {
 # randomized circuits for the cross-engine suite
 
 
-def _fmt_angle(rng: random.Random) -> str:
-    return _fmt(rng.uniform(-180.0, 180.0))
-
-
 def random_circuit_text(
     rng: random.Random, *, max_photons: int = 4, max_elements: int = 4
 ) -> str:
@@ -726,33 +719,31 @@ def random_circuit_text(
         return name
 
     a, b = new_port(), new_port()
-    source_lines = []
+    sources = []
     budget = max_photons
     for port in (a, b):
         kind = rng.choice(["fock", "fock", "linpol", "circpol", "pair", "none"])
         if kind == "pair" and budget >= 2:
-            source_lines.append(f"source {port} rcp_lcp_pair")
-            budget -= 2
+            spec = SourceSpec(kind="rcp_lcp_pair", n=2)
         elif kind == "linpol" and budget >= 1:
             n = rng.randint(1, min(2, budget))
-            source_lines.append(
-                f"source {port} linpol angle={_fmt_angle(rng)} n={n}"
-            )
-            budget -= n
+            # rounded to the digits its text carries, so serializing gives them back
+            angle = math.radians(float(_fmt(rng.uniform(-180.0, 180.0))))
+            spec = SourceSpec(kind="linpol", n=n, angle=angle)
         elif kind == "circpol" and budget >= 1:
             n = rng.randint(1, min(2, budget))
-            hand = rng.choice(["rcp", "lcp"])
-            source_lines.append(f"source {port} circpol {hand} n={n}")
-            budget -= n
+            spec = SourceSpec(kind="circpol", n=n, handedness=rng.choice(["rcp", "lcp"]))
         elif kind == "fock" and budget >= 1:
             n = rng.randint(1, min(2, budget))
-            pol = rng.choice(["x", "y"])
-            source_lines.append(f"source {port} fock {n} pol {pol}")
-            budget -= n
+            spec = SourceSpec(kind="fock", n=n, pol=rng.choice(["x", "y"]))
+        else:
+            continue
+        sources.append(SourceStmt(port, spec))
+        budget -= spec.n
     if budget == max_photons:
-        source_lines.append(f"source {a} fock 1 pol x")
+        sources.append(SourceStmt(a, SourceSpec(kind="fock", n=1)))
 
-    element_lines = []
+    elements = []
     pool = [a, b]
     tags = {a: "plain", b: "plain"}
     for _ in range(rng.randint(1, max_elements)):
@@ -773,7 +764,7 @@ def random_circuit_text(
             rng.shuffle(ins)
             outs = [new_port(), new_port()]
             if rng.random() < 0.5:
-                coeff = "split=50"
+                values = ()  # split=50
             else:
                 half = rng.uniform(0.15, math.pi / 2 - 0.15)
                 phi = rng.uniform(-math.pi, math.pi)
@@ -781,10 +772,8 @@ def random_circuit_text(
                 rho = math.cos(half) * complex(math.cos(phi), math.sin(phi))
                 arg_t = phi + sign * math.pi / 2
                 tau = math.sin(half) * complex(math.cos(arg_t), math.sin(arg_t))
-                coeff = f"r={_fmt_cplx(rho)} t={_fmt_cplx(tau)}"
-            element_lines.append(
-                f"rbs {coeff} {ins[0]} {ins[1]} -> {outs[0]} {outs[1]}"
-            )
+                values = (rho, tau)
+            elements.append(ElementStmt("rbs", values, (*ins, *outs)))
             for port in ins:
                 pool.remove(port)
             pool.extend(outs)
@@ -794,22 +783,14 @@ def random_circuit_text(
             src = rng.choice(candidates)
             t_out, r_out = new_port(), new_port()
             axis = rng.choice([0, 15, 30, 45, 60, 75, 90])
-            element_lines.append(f"pbs axis={axis} {src} -> {t_out} {r_out}")
+            elements.append(ElementStmt("pbs", (axis,), (src, t_out, r_out)))
             pool.remove(src)
             pool.extend([t_out, r_out])
             tag = "plain" if axis == 0 else "rot"
             tags[t_out] = tags[r_out] = tag
-        elif kind == "waveplate":
-            port = rng.choice(pool)
-            element_lines.append(
-                f"waveplate phase={_fmt_angle(rng)} axis={_fmt_angle(rng)} on {port}"
-            )
-        elif kind == "rotpol":
-            port = rng.choice(pool)
-            element_lines.append(f"rotpol angle={_fmt_angle(rng)} on {port}")
         else:
             port = rng.choice(pool)
-            element_lines.append(f"phase deg={_fmt_angle(rng)} on {port}")
+            values = tuple(rng.uniform(-180.0, 180.0) for _ in _ON_PORT[kind])
+            elements.append(ElementStmt(kind, values, (port,)))
 
-    lines = [f"port {p}" for p in ports] + source_lines + element_lines
-    return "\n".join(lines) + "\n"
+    return serialize_circuit(Circuit(tuple(ports), tuple(sources), tuple(elements)))

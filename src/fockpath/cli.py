@@ -25,6 +25,7 @@ from pathlib import Path
 from .circuit import (
     DEMO_CIRCUITS,
     RunResult,
+    _fmt,
     _parse_cplx,
     cross_check,
     parse_circuit,
@@ -40,11 +41,6 @@ from .paths import trace_paths
 __all__ = ["main", "console_entry"]
 
 CHECK_TOLERANCE = 1e-10
-
-
-def _round12(value: float) -> float:
-    out = float(f"{value:.12g}")
-    return 0.0 if out == 0 else out
 
 
 def _default_max_photons() -> int:
@@ -103,8 +99,8 @@ def _state_json(state: PhotonState) -> str:
             _STATE_ROW
             % (
                 "{" + occupancy + "\n      }" if occupancy else "{}",
-                _round12(amp.real),
-                _round12(amp.imag),
+                float(_fmt(amp.real)),
+                float(_fmt(amp.imag)),
             )
         )
     return "[" + ",".join(rows) + "\n  ]" if rows else "[]"
@@ -113,15 +109,15 @@ def _state_json(state: PhotonState) -> str:
 def _run_json(result: RunResult) -> str:
     """``run``'s JSON text: the ``json.dumps(..., indent=2)`` text of
     ``engine``, the ``state`` rows, ``distributions`` and ``discrepancy``,
-    with all values rounded by ``_round12``, and a newline."""
+    with every number rounded to the 12 digits ``_fmt`` writes, and a newline."""
     rest = {
         "distributions": {
-            port: {str(n): _round12(p) for n, p in dist.items()}
+            port: {str(n): float(_fmt(p)) for n, p in dist.items()}
             for port, dist in result.distributions.items()
         },
         "discrepancy": None
         if result.discrepancy is None
-        else _round12(result.discrepancy),
+        else float(_fmt(result.discrepancy)),
     }
     return (
         f'{{\n  "engine": {json.dumps(result.engine)},\n'
@@ -157,9 +153,7 @@ def _cmd_run(args) -> int:
     else:
         lines = ["basis,re,im"]
         for basis, amp in result.state.sorted_terms():
-            lines.append(
-                f"{basis.label()},{_round12(amp.real):.12g},{_round12(amp.imag):.12g}"
-            )
+            lines.append(f"{basis.label()},{_fmt(amp.real)},{_fmt(amp.imag)}")
         out = "\n".join(lines) + "\n"
     _emit(out, args.output)
     return 0
@@ -194,10 +188,10 @@ def _cmd_trace(args) -> int:
             {
                 "assignment": [list(row) for row in tr.assignment],
                 "output": list(tr.output_counts),
-                "re": _round12(tr.amplitude.real),
-                "im": _round12(tr.amplitude.imag),
+                "re": float(_fmt(tr.amplitude.real)),
+                "im": float(_fmt(tr.amplitude.imag)),
                 "multiplicity": tr.multiplicity,
-                "bose_factor": _round12(tr.bose_factor),
+                "bose_factor": float(_fmt(tr.bose_factor)),
             }
         )
     out = json.dumps(rows, indent=2) + "\n"
@@ -254,24 +248,13 @@ def _cmd_airy(args) -> int:
     if args.normalize:
         peak = amps[0]
         amps = [a / peak for a in amps]
+    columns = ("rho2_m", "re", "im", "abs")
+    rows = [(s.position, a.real, a.imag, abs(a)) for s, a in zip(samples, amps)]
     if args.format == "json":
-        payload = [
-            {
-                "rho2_m": _round12(s.position),
-                "re": _round12(a.real),
-                "im": _round12(a.imag),
-                "abs": _round12(abs(a)),
-            }
-            for s, a in zip(samples, amps)
-        ]
+        payload = [{k: float(_fmt(v)) for k, v in zip(columns, row)} for row in rows]
         out = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = ["rho2_m,re,im,abs"]
-        for s, a in zip(samples, amps):
-            lines.append(
-                f"{_round12(s.position):.12g},{_round12(a.real):.12g},"
-                f"{_round12(a.imag):.12g},{_round12(abs(a)):.12g}"
-            )
+        lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
         out = "\n".join(lines) + "\n"
     _emit(out, args.output)
     return 0

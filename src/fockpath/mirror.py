@@ -46,6 +46,7 @@ __all__ = [
     "bessel_j1",
     "AIRY_FIRST_ZERO",
     "airy_amplitude_closed",
+    "airy_first_zero_radius",
     "focal_amplitude_quadrature",
     "airy_profile",
 ]

@@ -1,5 +1,6 @@
 """Circuit DSL: sources, parsing diagnostics, round trips, dual-engine runs."""
 
+import hashlib
 import math
 import random
 
@@ -220,6 +221,79 @@ def test_malformed_corpus_diagnostics(data_dir):
         assert err.value.col >= 1
 
 
+# One row per place the parser raises: the raise site, the statement (after
+# ``port a`` ... ``port d``, so it starts on line 5) and the exact error text.
+PARSE_ERRORS = [
+    ("missing token", "source a", "5:9: expected source kind"),
+    ("trailing token", "rbs split=50 a b -> c d e", "5:25: unexpected trailing token 'e'"),
+    ("identifier", "port 1a", "5:6: invalid port name '1a'"),
+    ("keyword", "rotpol angle=10 at a", "5:17: expected 'on', got 'at'"),
+    ("key=value", "rotpol deg=10 on a", "5:8: expected 'angle=...', got 'deg=10'"),
+    ("non-finite", "rotpol angle=1e400 on a", "5:14: number '1e400' is not finite"),
+    ("float", "rotpol angle=4x5 on a", "5:14: malformed number '4x5'"),
+    ("integer", "source a fock two", "5:15: malformed integer 'two'"),
+    (
+        "complex",
+        "rbs r=0.6 t=0+0.8i a b -> c d",
+        "5:7: malformed complex number '0.6' (expected RE+IMi)",
+    ),
+    ("undeclared port", "source e fock 1", "5:8: undeclared port 'e'"),
+    ("negative count", "source a fock -1", "5:15: photon count must be non-negative"),
+    ("polarization", "source a fock 1 pol z", "5:21: polarization must be x or y, got 'z'"),
+    ("duplicate source", "source a fock 1\nsource a fock 2", "6:8: duplicate source for port 'a'"),
+    (
+        "handedness",
+        "source a circpol xcp n=1",
+        "5:18: handedness must be rcp or lcp, got 'xcp'",
+    ),
+    ("source kind", "source a laser", "5:10: unknown source kind 'laser'"),
+    ("repeated port", "rbs split=50 a a -> c d", "5:16: ports must be distinct, got 'a' twice"),
+    ("bare rbs", "rbs", "5:4: expected splitter coefficients"),
+    (
+        "energy conservation",
+        "rbs r=0.6+0i t=0+0.6i a b -> c d",
+        "5:7: splitter energy conservation: |rho|^2 + |tau|^2 = 0.72 must equal 1",
+    ),
+    (
+        "phase relation",
+        "rbs r=0.6+0i t=0.8+0i a b -> c d",
+        "5:7: splitter phase relation: arg(tau) - arg(rho) must be +-90 degrees, got 0 degrees",
+    ),
+    (
+        "unitarity",
+        "rbs r=1e-9+0i t=1+0i a b -> c d",
+        "5:7: splitter unitarity: element not unitary: defect 2.000e-09 exceeds 1e-09",
+    ),
+    (
+        "partial reuse",
+        "rbs split=50 a b -> a c",
+        "5:5: splitter output ports must reuse both input ports or neither",
+    ),
+    ("pbs source among outputs", "pbs axis=30 a -> a d", "5:10: polarizing splitter ports must be distinct"),
+    ("duplicate port", "port a", "5:6: duplicate port declaration 'a'"),
+    ("keyword of statement", "laser a", "5:1: unknown keyword 'laser'"),
+    (
+        "coherent with pbs",
+        "source a coherent re=0.2 im=0\npbs axis=10 a -> c d",
+        "6:1: coherent sources only combine with rbs, waveplate and phase elements",
+    ),
+    (
+        "basis mismatch",
+        "pbs axis=20 a -> c d\nrbs split=50 c b -> c b",
+        """6:1: ports 'c' and 'b' carry different polarization bases ("x'", "y'") vs ('x', 'y')""",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "statement, message", [row[1:] for row in PARSE_ERRORS], ids=[row[0] for row in PARSE_ERRORS]
+)
+def test_parse_error_text(statement, message):
+    with pytest.raises(ParseError) as err:
+        parse_circuit("port a\nport b\nport c\nport d\n" + statement + "\n")
+    assert str(err.value) == message
+
+
 # --- serialization ------------------------------------------------------------
 
 
@@ -417,3 +491,11 @@ def test_random_circuit_text_always_parses(seed):
     text = random_circuit_text(rng)
     circuit = parse_circuit(text)
     assert serialize_circuit(circuit) == text
+
+
+def test_random_circuit_texts_are_pinned():
+    """The 200 texts ``check --seed 7`` draws, pinned by their sha256."""
+    rng = random.Random(7)
+    texts = "".join(random_circuit_text(rng, max_photons=4, max_elements=4) for _ in range(200))
+    digest = hashlib.sha256(texts.encode()).hexdigest()
+    assert digest == "93bc7076b0a287d262c6e712d9c17bf799c04c28351c5b87dba4bca90d176012"

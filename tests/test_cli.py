@@ -118,7 +118,9 @@ def test_run_per_engine_and_csv_match_golden_output(name, form, circuits_dir, ca
 
 def _dumped_run_json(result):
     """``run``'s JSON as ``json.dumps(indent=2)`` writes the whole payload."""
-    round12 = fockpath.cli._round12
+    def round12(x):
+        return float(fockpath.circuit._fmt(x))
+
     payload = {
         "engine": result.engine,
         "state": [
@@ -137,7 +139,7 @@ def _dumped_run_json(result):
 MODES = [
     fockpath.fock.Mode(port, pol) for port in ("a", "b", "p10") for pol in ("x", "y", "x'", "y'")
 ]
-# parts _round12 sends to 0.0 or 1.0, and magnitudes whose repr has an exponent
+# parts that round to 0.0 or 1.0 at 12 digits, and magnitudes whose repr has an exponent
 EDGE_PARTS = [0.0, -0.0, 1 - 1e-13, -(1 - 1e-13), 0.9999999999996, 1e-13, -1.234567890123e-13, 3e-5]
 part = st.one_of(st.sampled_from(EDGE_PARTS), st.floats(-1.0, 1.0))
 count = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, fockpath.fock.MAX_COUNT))
@@ -181,15 +183,44 @@ def test_run_json_is_the_indented_dump_of_the_payload(result):
     assert fockpath.cli._run_json(result) == _dumped_run_json(result)
 
 
+def _readme_sample(command):
+    """The lines the README shows after ``$ fockpath COMMAND``, up to the
+    closing fence."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split(f"$ fockpath {command}\n", 1)[1].splitlines()
+    return block[: block.index("```")]
+
+
 def test_readme_run_sample_is_the_real_output(capsys):
     """The README's ``run --demo hom`` sample, up to its ``...``, is the
     first lines of the real output."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("$ fockpath run --demo hom\n", 1)[1].splitlines()
+    block = _readme_sample("run --demo hom")
     sample = block[: [line.strip() for line in block].index("...")]
     code, out, err = run_main(["run", "--demo", "hom"], capsys)
     assert code == 0, err
     assert out.splitlines()[: len(sample)] == sample
+
+
+def test_readme_airy_sample_is_the_real_output(capsys):
+    """The README's ``airy --samples 4`` CSV is the real output.  Its second
+    row sits on the first dark ring, whose value the README calls quadrature
+    noise of order 1e-15 pi R^2, so that row's numbers are compared within it."""
+    sample = _readme_sample("airy --samples 4")
+    code, out, err = run_main(["airy", "--samples", "4"], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == len(sample) == 5
+    assert lines[:2] + lines[3:] == sample[:2] + sample[3:]
+    got, want = ([float(x) for x in row.split(",")] for row in (lines[2], sample[2]))
+    assert got[0] == want[0]
+    noise = 1e-15 * math.pi * 0.01**2
+    assert all(abs(g - w) <= noise for g, w in zip(got[1:], want[1:]))
+
+
+def test_readme_check_sample_is_the_real_output(capsys):
+    code, out, err = run_main(["check", "--count", "200", "--seed", "7"], capsys)
+    assert code == 0, err
+    assert out.splitlines() == _readme_sample("check --count 200 --seed 7")
 
 
 def test_run_requires_exactly_one_circuit(tmp_path, capsys):

@@ -7,6 +7,7 @@ stay behind.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -82,12 +83,27 @@ def unused_imports(source: str) -> list[str]:
     )
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
-)
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
 def test_module_imports_only_names_it_uses(module):
     source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def test_package_exports_only_names_their_modules_export():
+    """Every name ``__init__`` imports from ``.X`` is in ``X.__all__``, for
+    each module ``X`` that declares one."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            exported = importlib.import_module(f"fockpath.{node.module}").__dict__.get("__all__")
+            if exported is not None:
+                missing += [
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name not in exported
+                ]
+    assert missing == []
 
 
 def test_unused_import_scan():
