@@ -269,7 +269,11 @@ PARSE_ERRORS = [
         "rbs split=50 a b -> a c",
         "5:5: splitter output ports must reuse both input ports or neither",
     ),
-    ("pbs source among outputs", "pbs axis=30 a -> a d", "5:10: polarizing splitter ports must be distinct"),
+    (
+        "pbs source among outputs",
+        "pbs axis=30 a -> a d",
+        "5:10: polarizing splitter ports must be distinct",
+    ),
     ("duplicate port", "port a", "5:6: duplicate port declaration 'a'"),
     ("keyword of statement", "laser a", "5:1: unknown keyword 'laser'"),
     (
