@@ -291,18 +291,19 @@ def _parse_source(line: _Line, declared: set[str], sourced: set[str]) -> SourceS
     return SourceStmt(port=port, spec=spec, line=line.number)
 
 
-def _parse_port_pair(line: _Line, declared: set[str]) -> tuple[str, str]:
-    p1, _ = _declared_port(line, declared)
-    p2, col = _declared_port(line, declared)
+def _parse_port_pair(line: _Line, declared: set[str]) -> dict[str, int]:
+    """Two distinct declared ports, in order, each mapped to its column."""
+    p1, col1 = _declared_port(line, declared)
+    p2, col2 = _declared_port(line, declared)
     if p1 == p2:
-        raise ParseError(f"ports must be distinct, got {p1!r} twice", line.number, col)
-    return p1, p2
+        raise ParseError(f"ports must be distinct, got {p1!r} twice", line.number, col2)
+    return {p1: col1, p2: col2}
 
 
 def _parse_rbs(line: _Line, declared: set[str]) -> ElementStmt:
     tok = line.peek() or line.take("splitter coefficients")  # take fails: no token left
     if tok[0] == "split=50":
-        _, rcol = line.take("split=50")
+        line.take("split=50")
         values = ()
     else:
         value, rcol = _kv(line, "r")
@@ -321,25 +322,24 @@ def _parse_rbs(line: _Line, declared: set[str]) -> ElementStmt:
     ins = _parse_port_pair(line, declared)
     _keyword(line, "->")
     outs = _parse_port_pair(line, declared)
-    in_set, out_set = set(ins), set(outs)
-    if in_set != out_set and in_set & out_set:
+    reused = [col for port, col in outs.items() if port in ins]
+    if len(reused) == 1:
         raise ParseError(
             "splitter output ports must reuse both input ports or neither",
             line.number,
-            rcol,
+            reused[0],
         )
     line.finish()
-    return ElementStmt("rbs", values, ins + outs, line.number)
+    return ElementStmt("rbs", values, (*ins, *outs), line.number)
 
 
 def _parse_pbs(line: _Line, declared: set[str]) -> ElementStmt:
-    value, col = _kv(line, "axis")
-    axis = _parse_float(value, line.number, col)
+    axis = _kv_float(line, "axis")
     src, _ = _declared_port(line, declared)
     _keyword(line, "->")
     outs = _parse_port_pair(line, declared)
     if src in outs:
-        raise ParseError("polarizing splitter ports must be distinct", line.number, col)
+        raise ParseError("polarizing splitter ports must be distinct", line.number, outs[src])
     line.finish()
     return ElementStmt("pbs", (axis,), (src, *outs), line.number)
 

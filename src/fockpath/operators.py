@@ -12,14 +12,14 @@ engine, which is why comparing the two is a meaningful correctness check.
 Monomials are keyed like state terms: a monomial prod_m (a_m^dag)^{e_m} is
 the int that packs its exponents over a slot table of modes, one byte per
 slot (see :func:`fockpath.fock._key`), and :class:`fockpath.fock.BasisState`
-is its public key.
+is its public key.  An element's images are keyed the same way, over its
+output slots, so multiplying monomials adds their keys.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
-from operator import add, mul
 
 from .elements import ModeTransform
 from .fock import (
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 ENGINE_NAME = "operators"
-
-_Exponents = tuple[int, ...]
 
 
 class CreationPolynomial(_SlotTerms):
@@ -107,35 +105,29 @@ def polynomial_to_state(
     return _finished(slots, terms, ports, occupied, normalized=normalized)
 
 
-def _product(
-    p: Mapping[_Exponents, complex], q: Mapping[_Exponents, complex]
-) -> dict[_Exponents, complex]:
-    out: dict[_Exponents, complex] = {}
+def _product(p: Mapping[int, complex], q: Mapping[int, complex]) -> dict[int, complex]:
+    out: dict[int, complex] = {}
     for k1, c1 in p.items():
         for k2, c2 in q.items():
-            key = tuple(map(add, k1, k2))
+            key = k1 + k2
             out[key] = out.get(key, 0j) + c1 * c2
     return out
 
 
-def _image(matrix, exponents: _Exponents, powers: dict) -> list[tuple[_Exponents, complex]]:
+def _image(matrix, exponents: tuple[int, ...], outs, powers: dict) -> list[tuple[int, complex]]:
     """prod_j (sum_i matrix[i][j] b_i^dag)^{e_j}, expanded by iterated
-    multiplication and keyed by the exponents of the output operators b_i.
+    multiplication and keyed like terms: output operator b_i counts at slot
+    ``outs[i]``.
 
     ``powers`` maps column j to its base and its powers so far, ``column[e]
     = _product(column[e - 1], base)``; :func:`_substitute` shares one such
     dict between the exponent tuples of one element.
     """
-    n = len(exponents)
-    one = {(0,) * n: 1.0 + 0j}
+    one = {0: 1.0 + 0j}
     image = one
     for j, e in enumerate(exponents):
         if j not in powers:
-            base = {
-                tuple(int(r == i) for r in range(n)): matrix[i][j]
-                for i in range(n)
-                if matrix[i][j] != 0
-            }
+            base = {_unit(o): matrix[i][j] for i, o in enumerate(outs) if matrix[i][j] != 0}
             powers[j] = (base, [one])
         base, column = powers[j]
         while len(column) <= e:
@@ -144,24 +136,23 @@ def _image(matrix, exponents: _Exponents, powers: dict) -> list[tuple[_Exponents
     return list(image.items())
 
 
-def _amplitude_image(
-    matrix, exponents: _Exponents, powers: dict
-) -> list[tuple[_Exponents, complex]]:
+def _amplitude_image(matrix, exponents, outs, powers: dict) -> list[tuple[int, complex]]:
     """:func:`_image` times sqrt(prod m!)/sqrt(prod n!): amplitudes to amplitudes."""
-    root = _root(exponents)
-    return [(k, c * _root(k) / root) for k, c in _image(matrix, exponents, powers)]
+    root, image = _root(exponents), _image(matrix, exponents, outs, powers)
+    return [(k, c * _root(_at(k, outs)) / root) for k, c in image]
 
 
 def _substitute(terms, ins, outs, matrix, image_of) -> dict[int, complex]:
-    """``terms`` with ``image_of(matrix, exponents, powers)`` of each key's
-    input exponents (at slots ``ins``) written over its slots ``outs``.
+    """``terms`` with ``image_of(matrix, exponents, outs, powers)`` of each
+    key's input exponents (at slots ``ins``) in place of its counts there.
 
     A key with no exponent at ``ins`` has image 1 and passes unchanged.  Two
     caches last this one call: the images by the key's bits at ``ins``, as
     ``(delta, c)`` pairs that move a key to key + delta; and the column
-    ``powers`` of :func:`_image`.
+    ``powers`` of :func:`_image`.  Image keys add exactly, since the photon
+    budget keeps every count of theirs within MAX_COUNT.
     """
-    mask, units = _mask(ins), [_unit(o) for o in outs]
+    mask = _mask(ins)
     image_cache: dict[int, list[tuple[int, complex]]] = {}
     powers: dict = {}
     out: dict[int, complex] = {}
@@ -175,8 +166,7 @@ def _substitute(terms, ins, outs, matrix, image_of) -> dict[int, complex]:
             exponents = tuple(_at(fields, ins))
             check_photon_budget(sum(exponents), None)
             image = image_cache[fields] = [
-                (sum(map(mul, written, units)) - fields, c)
-                for written, c in image_of(matrix, exponents, powers)
+                (k - fields, c) for k, c in image_of(matrix, exponents, outs, powers)
             ]
         for delta, c in image:
             k = key + delta
@@ -188,7 +178,7 @@ def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPoly
     """Substitute each input operator by its image under the element.
 
     The image of a monomial's input exponents is expanded once per exponent
-    tuple and written over the element's slots of the monomial.
+    tuple, keyed over the element's output slots, and added to its key.
     """
     slots, terms, ins, outs = _element_slots(poly, t)
     out = _substitute(terms, ins, outs, t.matrix, _image)

@@ -267,12 +267,27 @@ PARSE_ERRORS = [
     (
         "partial reuse",
         "rbs split=50 a b -> a c",
-        "5:5: splitter output ports must reuse both input ports or neither",
+        "5:21: splitter output ports must reuse both input ports or neither",
+    ),
+    (
+        "partial reuse, second output",
+        "rbs split=50 a b -> c a",
+        "5:23: splitter output ports must reuse both input ports or neither",
+    ),
+    (
+        "partial reuse, coefficients",
+        "rbs r=0.6+0i t=0+0.8i a b -> b c",
+        "5:30: splitter output ports must reuse both input ports or neither",
     ),
     (
         "pbs source among outputs",
         "pbs axis=30 a -> a d",
-        "5:10: polarizing splitter ports must be distinct",
+        "5:18: polarizing splitter ports must be distinct",
+    ),
+    (
+        "pbs source as second output",
+        "pbs axis=30 a -> d a",
+        "5:20: polarizing splitter ports must be distinct",
     ),
     ("duplicate port", "port a", "5:6: duplicate port declaration 'a'"),
     ("keyword of statement", "laser a", "5:1: unknown keyword 'laser'"),
@@ -503,3 +518,70 @@ def test_random_circuit_texts_are_pinned():
     texts = "".join(random_circuit_text(rng, max_photons=4, max_elements=4) for _ in range(200))
     digest = hashlib.sha256(texts.encode()).hexdigest()
     assert digest == "93bc7076b0a287d262c6e712d9c17bf799c04c28351c5b87dba4bca90d176012"
+
+
+
+# --- the paper's two rules in closed form -----------------------------------
+
+ENGINE_CHOICES = ("both", "paths", "operators")
+ANGLES = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
+
+
+def _coincidence(state, counts: dict[str, int]) -> dict:
+    """The terms with exactly ``counts`` photons at each named port."""
+    return {
+        b: a
+        for b, a in state.terms.items()
+        if all(b.port_total(p) == n for p, n in counts.items())
+    }
+
+
+def _probability(state, counts: dict[str, int]) -> float:
+    return sum(abs(a) ** 2 for a in _coincidence(state, counts).values())
+
+
+def _hom_state(engine: str, theta: float):
+    text = (
+        "port a\nport b\nport c\nport d\nsource a fock 1 pol x\n"
+        f"source b linpol angle={theta!r} n=1\nrbs split=50 a b -> c d\n"
+    )
+    return run_circuit(parse_circuit(text), engine).state
+
+
+@pytest.mark.parametrize("engine", ENGINE_CHOICES)
+@settings(max_examples=25, deadline=None)
+@given(theta=ANGLES)
+def test_hom_coincidence_follows_polarization_overlap(engine, theta):
+    """Two photons at a 50:50 splitter, polarizations theta apart: the
+    indistinguishable parts' amplitudes cancel and the rest add as
+    probabilities, so P(c=1, d=1) = sin^2(theta) / 2."""
+    state = _hom_state(engine, theta)
+    want = math.sin(math.radians(theta)) ** 2 / 2
+    assert abs(_probability(state, {"c": 1, "d": 1}) - want) < 1e-12
+
+
+@pytest.mark.parametrize("engine", ENGINE_CHOICES)
+def test_hom_limits(engine):
+    """Parallel polarizations leave no (1, 1) term at all; crossed ones
+    add as probabilities, giving 1/2."""
+    assert _coincidence(_hom_state(engine, 0.0), {"c": 1, "d": 1}) == {}
+    crossed = _hom_state(engine, 90.0)
+    assert abs(_probability(crossed, {"c": 1, "d": 1}) - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("engine", ENGINE_CHOICES)
+@settings(max_examples=25, deadline=None)
+@given(alpha=ANGLES, phi=ANGLES)
+def test_which_path_marking_sets_fringe_visibility(engine, alpha, phi):
+    """A Mach-Zehnder whose upper arm turns the polarization by alpha and
+    the phase by phi: P(c=1) = (1 - cos(alpha) cos(phi)) / 2, a fringe of
+    visibility |cos(alpha)| = |<pol_u|pol_l>|."""
+    text = (
+        "port a\nport b\nport u\nport l\nport c\nport d\nsource a fock 1 pol x\n"
+        "rbs split=50 a b -> u l\n"
+        f"rotpol angle={alpha!r} on u\nphase deg={phi!r} on u\n"
+        "rbs split=50 u l -> c d\n"
+    )
+    state = run_circuit(parse_circuit(text), engine).state
+    want = (1 - math.cos(math.radians(alpha)) * math.cos(math.radians(phi))) / 2
+    assert abs(_probability(state, {"c": 1}) - want) < 1e-12

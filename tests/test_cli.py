@@ -223,6 +223,16 @@ def test_readme_check_sample_is_the_real_output(capsys):
     assert out.splitlines() == _readme_sample("check --count 200 --seed 7")
 
 
+def test_readme_library_sample_is_the_real_output(capsys):
+    """The README's "Library use" snippet prints what its comments show: the
+    amplitude dict over the first two comment lines, then the discrepancy."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    comments = [line.split("# ", 1)[1] for line in block.splitlines() if "# " in line]
+    assert capsys.readouterr().out.splitlines() == ["".join(comments[:2]), comments[2]]
+
+
 def test_run_requires_exactly_one_circuit(tmp_path, capsys):
     code, _, err = run_main(["run"], capsys)
     assert code == 1

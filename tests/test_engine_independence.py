@@ -8,6 +8,7 @@ stay behind.
 
 import ast
 import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -47,13 +48,10 @@ def test_import_scan_sees_every_import_form():
         assert "operators" in imported_modules(line)
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names the source imports and never reads or lists in ``__all__``.
-
-    A line marked ``# noqa: F401`` may keep one such name: those are kept on
-    purpose for code that looks them up on the module.  Two unused names on
-    one marked line are both reported, since the mark can stand for only one.
-    """
+def _unread_imports(source: str) -> list[tuple[str, bool, int]]:
+    """``(name, marked, count)`` for each name the source imports and never
+    reads or lists in ``__all__``: whether its line carries ``# noqa: F401``,
+    and how many such names that line holds."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported = []
@@ -73,13 +71,20 @@ def unused_imports(source: str) -> list[str]:
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         for elt in node.value.elts
     }
-    used = read | exported
-    unused = [(name, line) for name, line in imported if name not in used]
-    per_line = Counter(line for _, line in unused)
+    unread = [(name, line) for name, line in imported if name not in read | exported]
+    per_line = Counter(line for _, line in unread)
+    return [(name, "# noqa: F401" in lines[line - 1], per_line[line]) for name, line in unread]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the source imports and never reads or lists in ``__all__``.
+
+    A line marked ``# noqa: F401`` may keep one such name: those are kept on
+    purpose for code that looks them up on the module.  Two unused names on
+    one marked line are both reported, since the mark can stand for only one.
+    """
     return sorted(
-        name
-        for name, line in unused
-        if "# noqa: F401" not in lines[line - 1] or per_line[line] > 1
+        name for name, marked, count in _unread_imports(source) if not marked or count > 1
     )
 
 
@@ -124,3 +129,34 @@ def test_unused_import_scan():
     assert unused_imports(source) == ["os"]
     # a second unused name on a marked line is not covered by the mark
     assert unused_imports(source.replace("np.pi, e, b", "np.pi, e")) == ["b", "c", "os"]
+
+
+def _load_tracer():
+    """``perfbench/tracer.py``, loaded by path: its top level imports only
+    the standard library."""
+    path = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sites_exist_and_cover_every_kept_import():
+    """The perfbench tracer wraps functions at the module attribute their
+    callers look up; a name removed from the package breaks ``--trace``.
+    Every import kept only by a ``# noqa: F401`` mark is such a site."""
+    tracer = _load_tracer()
+    sites = {(module, attr) for module, attr, *_ in tracer.SPAN_SITES + tracer.COUNT_SITES}
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(sites)
+        if not hasattr(importlib.import_module(f"fockpath.{module}"), attr)
+    ]
+    assert missing == []
+    marked = {
+        (path.stem, name)
+        for path in PACKAGE.glob("*.py")
+        for name, is_marked, _ in _unread_imports(path.read_text(encoding="utf-8"))
+        if is_marked
+    }
+    assert marked - sites == set()
