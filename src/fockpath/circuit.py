@@ -440,44 +440,37 @@ def serialize_circuit(circuit: Circuit) -> str:
 # sources
 
 
-def _two_mode_binomial_source(
-    alpha: complex, beta: complex, n: int, port: str
-) -> PhotonState:
-    """Normalized (alpha ax^dag + beta ay^dag)^n / sqrt(n!) |0>."""
-    mx, my = Mode(port, "x"), Mode(port, "y")
-    terms = {}
-    for k in range(n + 1):
-        amp = math.sqrt(math.comb(n, k)) * alpha**k * beta ** (n - k)
-        terms[BasisState({mx: k, my: n - k})] = amp
-    return normalize(PhotonState(terms, ports=[port]))
-
-
 def make_source(
     spec: SourceSpec, port: str, *, max_photons: int = DEFAULT_MAX_PHOTONS
 ) -> PhotonState:
-    """Build the normalized initial ket for one source."""
+    """Build the normalized initial ket for one source.  ``linpol`` and
+    ``circpol`` are n photons polarized along (alpha, beta):
+    (alpha ax^dag + beta ay^dag)^n / sqrt(n!) |0>."""
     if spec.kind == "fock":
         return PhotonState.from_occupancy({Mode(port, spec.pol): spec.n}, ports=[port])
-    if spec.kind == "linpol":
-        return _two_mode_binomial_source(
-            math.cos(spec.angle), math.sin(spec.angle), spec.n, port
-        )
-    if spec.kind == "circpol":
-        inv = 1.0 / math.sqrt(2.0)
-        beta = 1j * inv if spec.handedness == "rcp" else -1j * inv
-        return _two_mode_binomial_source(inv, beta, spec.n, port)
-    if spec.kind == "rcp_lcp_pair":
-        inv = 1.0 / math.sqrt(2.0)
-        mx, my = Mode(port, "x"), Mode(port, "y")
-        return PhotonState(
-            {BasisState({mx: 2}): inv, BasisState({my: 2}): inv}, ports=[port]
-        )
     if spec.kind == "coherent":
         trunc = default_truncation(spec.gamma, cap=max_photons)
         return coherent_state(
             CoherentParams(spec.gamma, trunc), Mode(port, spec.pol)
         )
-    raise ValueError(f"unknown source kind {spec.kind!r}")
+    mx, my = Mode(port, "x"), Mode(port, "y")
+    inv = 1.0 / math.sqrt(2.0)
+    if spec.kind == "rcp_lcp_pair":
+        return PhotonState(
+            {BasisState({mx: 2}): inv, BasisState({my: 2}): inv}, ports=[port]
+        )
+    if spec.kind == "linpol":
+        alpha, beta = math.cos(spec.angle), math.sin(spec.angle)
+    elif spec.kind == "circpol":
+        alpha, beta = inv, (1j if spec.handedness == "rcp" else -1j) * inv
+    else:
+        raise ValueError(f"unknown source kind {spec.kind!r}")
+    n = spec.n
+    terms = {}
+    for k in range(n + 1):
+        amp = math.sqrt(math.comb(n, k)) * alpha**k * beta ** (n - k)
+        terms[BasisState({mx: k, my: n - k})] = amp
+    return normalize(PhotonState(terms, ports=[port]))
 
 
 def source_budget(spec: SourceSpec, max_photons: int = DEFAULT_MAX_PHOTONS) -> int:
@@ -707,10 +700,9 @@ DEMO_CIRCUITS: dict[str, str] = {
 # randomized circuits for the cross-engine suite
 
 
-def random_circuit_text(
-    rng: random.Random, *, max_photons: int = 4, max_elements: int = 4
-) -> str:
-    """Generate a small random circuit exercising every element kind."""
+def random_circuit_text(rng: random.Random, *, max_elements: int = 4) -> str:
+    """Generate a small random circuit exercising every element kind.  It has
+    one or two sources of at most two photons each, so at most 4 photons."""
     ports: list[str] = []
 
     def new_port() -> str:
@@ -720,27 +712,25 @@ def random_circuit_text(
 
     a, b = new_port(), new_port()
     sources = []
-    budget = max_photons
     for port in (a, b):
         kind = rng.choice(["fock", "fock", "linpol", "circpol", "pair", "none"])
-        if kind == "pair" and budget >= 2:
+        if kind == "pair":
             spec = SourceSpec(kind="rcp_lcp_pair", n=2)
-        elif kind == "linpol" and budget >= 1:
-            n = rng.randint(1, min(2, budget))
+        elif kind == "linpol":
+            n = rng.randint(1, 2)
             # rounded to the digits its text carries, so serializing gives them back
             angle = math.radians(float(_fmt(rng.uniform(-180.0, 180.0))))
             spec = SourceSpec(kind="linpol", n=n, angle=angle)
-        elif kind == "circpol" and budget >= 1:
-            n = rng.randint(1, min(2, budget))
+        elif kind == "circpol":
+            n = rng.randint(1, 2)
             spec = SourceSpec(kind="circpol", n=n, handedness=rng.choice(["rcp", "lcp"]))
-        elif kind == "fock" and budget >= 1:
-            n = rng.randint(1, min(2, budget))
+        elif kind == "fock":
+            n = rng.randint(1, 2)
             spec = SourceSpec(kind="fock", n=n, pol=rng.choice(["x", "y"]))
         else:
             continue
         sources.append(SourceStmt(port, spec))
-        budget -= spec.n
-    if budget == max_photons:
+    if not sources:
         sources.append(SourceStmt(a, SourceSpec(kind="fock", n=1)))
 
     elements = []

@@ -269,7 +269,7 @@ def _cmd_check(args) -> int:
     worst = 0.0
     worst_text = ""
     for _ in range(args.count):
-        text = random_circuit_text(rng, max_photons=4, max_elements=4)
+        text = random_circuit_text(rng, max_elements=4)
         circuit = parse_circuit(text)
         disc = cross_check(circuit)
         if disc > worst:

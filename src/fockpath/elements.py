@@ -179,13 +179,6 @@ def _validate_rbs_coefficients(rho: complex, tau: complex):
     require_unitary(((rho, tau), (tau, rho)))
 
 
-def _default_modes(pol: str = "x"):
-    return (
-        (Mode("1", pol), Mode("2", pol)),
-        (Mode("3", pol), Mode("4", pol)),
-    )
-
-
 def make_rbs(
     rho: complex,
     tau: complex,
@@ -201,9 +194,8 @@ def make_rbs(
     """
     rho, tau = complex(rho), complex(tau)
     _validate_rbs_coefficients(rho, tau)
-    default_in, default_out = _default_modes()
-    in_modes = tuple(in_modes) if in_modes is not None else default_in
-    out_modes = tuple(out_modes) if out_modes is not None else default_out
+    in_modes = tuple(in_modes) if in_modes is not None else (Mode("1", "x"), Mode("2", "x"))
+    out_modes = tuple(out_modes) if out_modes is not None else (Mode("3", "x"), Mode("4", "x"))
     return ModeTransform(
         in_modes=in_modes,
         out_modes=out_modes,

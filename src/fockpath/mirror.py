@@ -110,7 +110,8 @@ def _bessel(x, nu: int):
         out[small] = _bessel_series(arr[small], nu)
     if (~small).any():
         big = arr[~small]  # NaN included: it stays NaN
-        val = _bessel_asymptotic(np.abs(big), nu, np)
+        with np.errstate(invalid="ignore"):  # cos(inf); J0 and J1 tend to 0 there
+            val = np.where(np.isinf(big), 0.0, _bessel_asymptotic(np.abs(big), nu, np))
         out[~small] = np.where(big < 0, -val, val) if nu == 1 else val
     return float(out[0]) if scalar else out
 

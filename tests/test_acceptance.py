@@ -97,7 +97,7 @@ def test_criterion_03_engines_agree_on_random_circuits():
     rng = random.Random(20260816)
     worst = 0.0
     for _ in range(200):
-        text = random_circuit_text(rng, max_photons=4, max_elements=4)
+        text = random_circuit_text(rng, max_elements=4)
         worst = max(worst, cross_check(parse_circuit(text)))
     assert worst < 1e-10
     print(f"criterion 03 PASS: 200 circuits, worst discrepancy {worst:.3e}")

@@ -82,6 +82,11 @@ def test_fock_source():
     assert s.amplitude(BasisState({Mode("b", "y"): 3})) == 1.0
 
 
+def test_make_source_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown source kind 'laser'"):
+        make_source(SourceSpec(kind="laser"), "a")
+
+
 # --- parsing ----------------------------------------------------------------
 
 
@@ -451,7 +456,7 @@ def test_elaborate_rejects_unknown_statement():
 def test_photon_number_conserved_through_circuits():
     rng = random.Random(41)
     for _ in range(40):
-        text = random_circuit_text(rng, max_photons=4, max_elements=4)
+        text = random_circuit_text(rng, max_elements=4)
         circuit = parse_circuit(text)
         total = sum(
             bs.total * 1 for bs, _ in initial_state(circuit).sorted_terms()[:1]
@@ -465,7 +470,7 @@ def test_cross_check_random_circuits_sample():
     rng = random.Random(4242)
     worst = 0.0
     for _ in range(30):
-        text = random_circuit_text(rng, max_photons=4, max_elements=4)
+        text = random_circuit_text(rng, max_elements=4)
         worst = max(worst, cross_check(parse_circuit(text)))
     assert worst < 1e-10
 
@@ -473,7 +478,7 @@ def test_cross_check_random_circuits_sample():
 def test_cross_check_is_the_both_engine_discrepancy():
     rng = random.Random(77)
     for _ in range(40):
-        circuit = parse_circuit(random_circuit_text(rng, max_photons=4, max_elements=5))
+        circuit = parse_circuit(random_circuit_text(rng, max_elements=5))
         assert cross_check(circuit) == run_circuit(circuit).discrepancy
 
 
@@ -515,7 +520,7 @@ def test_random_circuit_text_always_parses(seed):
 def test_random_circuit_texts_are_pinned():
     """The 200 texts ``check --seed 7`` draws, pinned by their sha256."""
     rng = random.Random(7)
-    texts = "".join(random_circuit_text(rng, max_photons=4, max_elements=4) for _ in range(200))
+    texts = "".join(random_circuit_text(rng, max_elements=4) for _ in range(200))
     digest = hashlib.sha256(texts.encode()).hexdigest()
     assert digest == "93bc7076b0a287d262c6e712d9c17bf799c04c28351c5b87dba4bca90d176012"
 

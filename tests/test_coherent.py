@@ -66,6 +66,11 @@ def test_poisson_tail_rejects_underflowing_start():
     assert poisson_tail(700.0, 2000) < 1e-12  # e^{-700} is still normal
 
 
+def test_coherent_params_reject_negative_truncation():
+    with pytest.raises(ValueError, match="truncation"):
+        CoherentParams(0.1, -1)
+
+
 def test_default_truncation_goldens():
     assert default_truncation(0.0) == 0
     assert default_truncation(0.15) == 4

@@ -69,6 +69,16 @@ def test_basis_state_label_and_parse():
     assert bs.label() == "a.x=2;b.x=1"
     assert BasisState().label() == "vacuum"
     assert Mode.from_label("a.x") == AX
+    with pytest.raises(ValueError, match="port.pol"):
+        Mode.from_label("ax")
+
+
+def test_basis_state_coerces_tuples_and_copies_itself():
+    bs = BasisState([(("a", "x"), 1)])
+    assert bs == BasisState({AX: 1})
+    copy = BasisState(bs)
+    assert copy == bs and hash(copy) == hash(bs)
+    assert repr(bs) == "BasisState(a.x=1)"
 
 
 def test_basis_state_totals():
@@ -163,6 +173,14 @@ def test_number_distribution_marginalizes():
     assert joint[(1, 1)] == pytest.approx(0.5)
     assert joint[(0, 2)] == pytest.approx(0.25)
     assert sum(joint.values()) == pytest.approx(1.0)
+
+
+def test_number_distribution_sorts_a_set_of_ports_and_needs_one():
+    s = PhotonState({BasisState({AX: 2, BX: 1}): 1.0})
+    assert number_distribution(s, {"b", "a"}) == {(2, 1): 1.0}
+    assert number_distribution(s, ["b", "a"]) == {(1, 2): 1.0}
+    with pytest.raises(ValueError, match="at least one port"):
+        number_distribution(s, [])
 
 
 def test_number_distribution_vacuum():
@@ -530,3 +548,8 @@ def test_finished_raises_null_state_when_every_term_is_pruned():
 def test_finished_reports_a_non_finite_amplitude_before_any_overflow(terms):
     with pytest.raises(ValueError, match="non-finite amplitude for a.x=1"):
         _finished(FINISH_SLOTS, terms, ())
+
+
+def test_finished_raises_overflow_for_a_huge_finite_amplitude():
+    with pytest.raises(OverflowError):
+        _finished(FINISH_SLOTS, {_key((1, 0, 0)): 1e200}, ())

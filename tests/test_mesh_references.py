@@ -142,7 +142,7 @@ def test_elements_keep_photon_number_sectors(engine):
     """No element changes a term's photon total, so the budget that
     ``initial_state`` checks holds through the whole run."""
     rng = random.Random(2026)
-    texts = [random_circuit_text(rng, max_photons=4, max_elements=4) for _ in range(150)]
+    texts = [random_circuit_text(rng, max_elements=4) for _ in range(150)]
     sources = [
         "source p0 coherent re=0.02 im=0 pol x",
         "source p1 coherent re=0 im=0.02 pol y",

@@ -100,6 +100,16 @@ def test_bessel_parity():
         assert bessel_j1(-x) == -bessel_j1(x)
 
 
+def test_bessel_at_infinity_is_zero_without_a_warning():
+    # pytest turns RuntimeWarning into an error here, so cos(inf) must not warn
+    for f in (bessel_j0, bessel_j1):
+        for x in (math.inf, -math.inf):
+            assert f(x) == 0.0
+        vals = f(np.array([math.inf, -math.inf, math.nan, 13.0]))
+        assert vals[0] == vals[1] == 0.0
+        assert math.isnan(vals[2]) and vals[3] == f(13.0)
+
+
 def test_bessel_array_input():
     xs = np.array([x for x, _ in BESSEL_J0_REFS])
     vals = bessel_j0(xs)

@@ -184,6 +184,11 @@ def test_routings_match_the_fresh_formula_bit_for_bit():
                 assert repr(got) == repr(want), (n1, n - n1, matrix)
 
 
+def test_scatter_rejects_negative_counts():
+    with pytest.raises(ValueError, match="non-negative"):
+        scatter_two_mode(-1, 0, make_split50_rbs().matrix)
+
+
 def test_scatter_rejects_budget_overrun():
     m = make_split50_rbs().matrix
     with pytest.raises(PhotonBudgetError):
