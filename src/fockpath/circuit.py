@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import fock, operators, paths
+from . import operators, paths
 from .coherent import CoherentParams, coherent_state, default_truncation
 from .elements import (
     SPLIT50,
@@ -56,6 +56,7 @@ from .fock import (
     BasisState,
     Mode,
     PhotonState,
+    _check_size,
     check_photon_budget,
     max_amplitude_difference,
     normalize,
@@ -84,9 +85,9 @@ __all__ = [
 
 ENGINE_TOLERANCE = 1e-9
 
-# engine name -> module; ``apply_transform`` is looked up on each run, so a
-# wrapped or patched engine function is the one that runs
-_ENGINES = {"paths": paths, "operators": operators}
+# the engines, in the order ``both`` runs them; each engine function is
+# looked up on its module on each run, so a wrapped or patched one runs
+_ENGINES = ("paths", "operators")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _FLOAT_BODY = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -477,6 +478,8 @@ def source_budget(spec: SourceSpec, max_photons: int = DEFAULT_MAX_PHOTONS) -> i
     """Largest photon number the source can inject."""
     if spec.kind == "coherent":
         return default_truncation(spec.gamma, cap=max_photons)
+    if spec.kind == "rcp_lcp_pair":
+        return 2  # make_source injects a pair whatever ``spec.n`` says
     return spec.n
 
 
@@ -554,7 +557,8 @@ def initial_state(circuit: Circuit, max_photons: int = DEFAULT_MAX_PHOTONS) -> P
     states = [make_source(s.spec, s.port, max_photons=max_photons) for s in circuit.sources]
     # the vacuum factor declares every circuit port on the product
     state = tensor_product(PhotonState.vacuum(circuit.ports), *states)
-    return _within_max_terms(state, "the initial state")
+    _check_size(len(state), "the initial state")
+    return state
 
 
 @dataclass(frozen=True)
@@ -565,25 +569,20 @@ class RunResult:
     discrepancy: float | None = None
 
 
-def _within_max_terms(state: PhotonState, what: str) -> PhotonState:
-    """``state``, or PhotonBudgetError naming it as ``what`` if it has more
-    than ``fock.MAX_TERMS`` terms."""
-    if len(state) > fock.MAX_TERMS:
-        raise PhotonBudgetError(
-            f"{what} has {len(state)} terms, more than the maximum of {fock.MAX_TERMS}"
-        )
-    return state
-
-
-def _evolve(state: PhotonState, bound, engine) -> PhotonState:
-    """Apply each bound element in turn.  No element changes the photon
-    total of a term, so the budget ``initial_state`` checked still holds."""
+def _evolve(state: PhotonState, bound, engine: str) -> PhotonState:
+    """Evolve ``state`` through the bound elements on one engine.  The
+    operators engine takes the whole circuit at once; the path-sum engine
+    takes each element in turn, and its state after each is held to
+    ``fock.MAX_TERMS``.  No element changes the photon total of a term, so
+    the budget ``initial_state`` checked still holds."""
+    if engine == "operators":
+        return operators.evolve(state, bound)
     for transform, line in bound:
         try:
-            state = engine.apply_transform(state, transform)
+            state = paths.apply_transform(state, transform)
         except FockPathError as exc:
             raise type(exc)(f"line {line}: {exc}") from exc
-        _within_max_terms(state, f"line {line}: the state")
+        _check_size(len(state), f"line {line}: the state")
     return state
 
 
@@ -593,7 +592,7 @@ def _run_engines(
     """Evolve the circuit on each named engine; return the first engine's
     final state and, for two engines, their max amplitude difference."""
     start = initial_state(circuit, max_photons)
-    states = [_evolve(start, circuit.bound, _ENGINES[name]) for name in names]
+    states = [_evolve(start, circuit.bound, name) for name in names]
     discrepancy = max_amplitude_difference(*states) if len(states) == 2 else None
     return states[0], discrepancy
 
@@ -612,7 +611,7 @@ def run_circuit(
     """
     if engine not in ("both", *_ENGINES):
         raise ValueError(f"engine must be one of paths, operators, both; got {engine!r}")
-    names = tuple(_ENGINES) if engine == "both" else (engine,)
+    names = _ENGINES if engine == "both" else (engine,)
     state, discrepancy = _run_engines(circuit, names, max_photons)
     if discrepancy is not None and discrepancy > ENGINE_TOLERANCE:
         raise EngineDisagreementError(discrepancy)
@@ -626,7 +625,7 @@ def run_circuit(
 
 def cross_check(circuit: Circuit) -> float:
     """Max amplitude difference between the two engines on this circuit."""
-    return _run_engines(circuit, tuple(_ENGINES), DEFAULT_MAX_PHOTONS)[1]
+    return _run_engines(circuit, _ENGINES, DEFAULT_MAX_PHOTONS)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ so failures leave no partial file.
 
 ``run`` and ``trace`` take the photon budget from ``--max-photons`` or
 ``FOCKPATH_MAX_PHOTONS`` and check it where photons enter; ``run`` checks
-the initial state and each element's output against ``fock.MAX_TERMS``.
+the initial state against ``fock.MAX_TERMS``, and so do the engines: the
+path-sum engine each element's output, the operators engine its one
+expansion while it grows.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ import math
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ModeMismatchError, NullStateError, PhotonBudgetError, UnknownPortError
@@ -69,6 +70,15 @@ def check_photon_budget(total: int, max_photons: int | None) -> None:
         )
     if total > MAX_COUNT:
         raise PhotonBudgetError(f"{total} photons exceed the limit of {MAX_COUNT}")
+
+
+def _check_size(count: int, what: str) -> None:
+    """Raise PhotonBudgetError naming ``what`` if its ``count`` terms exceed
+    MAX_TERMS."""
+    if count > MAX_TERMS:
+        raise PhotonBudgetError(
+            f"{what} has {count} terms, more than the maximum of {MAX_TERMS}"
+        )
 
 
 class Mode(NamedTuple):
@@ -277,8 +287,8 @@ class _SlotTerms:
 
 
 def _element_slots(state: _SlotTerms, t) -> tuple[Slots, dict[int, complex], tuple, tuple]:
-    """An engine's first step through the element ``t`` (a ModeTransform):
-    find the slot table after ``t``.
+    """The path-sum engine's first step through the element ``t`` (a
+    ModeTransform): find the slot table after ``t``.
 
     Returns ``(table, terms, ins, outs)``, where ``terms`` is the state's
     own dict: an input mode missing from its slots gets a new last slot,
@@ -460,12 +470,35 @@ def _finished(
     return state
 
 
+def _rekeyed(state: PhotonState, slots: Slots) -> dict | None:
+    """The terms of ``state`` keyed over the slot table ``slots``, or None
+    if a mode that ``state`` occupies has no slot there."""
+    size = len(state._slots)
+    if any(state._slots[i] not in slots for i in _occupied(state._terms, size)):
+        return None
+    index = {m: i for i, m in enumerate(state._slots)}
+    # byte j of a new key is byte source[j] of the old key written with one
+    # more byte, a zero at ``size``; the last, extra zero keeps the getter's
+    # result a tuple and adds nothing to the key
+    source = itemgetter(*(index.get(m, size) for m in slots), size)
+    return {
+        int.from_bytes(bytes(source(k.to_bytes(size + 1, "little"))), "little"): a
+        for k, a in state._terms.items()
+    }
+
+
 def _aligned(a: PhotonState, b: PhotonState) -> tuple[dict, dict]:
-    """The terms of ``a`` and ``b`` under one kind of key: their packed keys
-    when they share a slot table, as the two engines' states do, and their
-    :class:`BasisState` keys otherwise."""
+    """The terms of ``a`` and ``b`` under one kind of key: packed keys over
+    one of their slot tables when it holds every mode the other occupies,
+    and :class:`BasisState` keys otherwise."""
     if a._slots == b._slots:
         return a._terms, b._terms
+    ta = _rekeyed(a, b._slots)
+    if ta is not None:
+        return ta, b._terms
+    tb = _rekeyed(b, a._slots)
+    if tb is not None:
+        return a._terms, tb
     return a.terms, b.terms
 
 

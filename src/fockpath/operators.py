@@ -1,19 +1,24 @@
 """Creation-operator evolution engine.
 
 A state is a polynomial in mode creation operators on the vacuum, with
-amplitude = coefficient * sqrt(prod m!).  Each element substitutes its input
-operators by linear combinations of output operators, expanded by iterated
-multiplication once per exponent tuple of its own modes; the other modes'
-factorials cancel, so :func:`apply_transform` scales that cached image by
-sqrt(m_a! m_b!)/sqrt(n_1! n_2!) and substitutes Fock amplitudes directly.
-This is an independent derivation of the same physics as the path-sum
-engine, which is why comparing the two is a meaningful correctness check.
+amplitude = coefficient * sqrt(prod m!).  Each element maps its input
+operators to linear combinations of its output operators, so the image of
+an operator through a whole circuit is the product of the element maps.
+:func:`evolve` walks a circuit's elements once and carries each occupied
+slot's creation operator as a column of coefficients over the current
+modes; each element rewrites only its own modes' entries.  It then expands
+the image of each monomial once, by iterated multiplication once per
+exponent tuple of the moved slots, and scales it by sqrt(prod m!)/sqrt(prod
+n!), which substitutes Fock amplitudes directly.  :func:`apply_transform`
+is the one-element case.  This is an independent derivation of the same
+physics as the path-sum engine, which is why comparing the two is a
+meaningful correctness check.
 
 Monomials are keyed like state terms: a monomial prod_m (a_m^dag)^{e_m} is
 the int that packs its exponents over a slot table of modes, one byte per
 slot (see :func:`fockpath.fock._key`), and :class:`fockpath.fock.BasisState`
-is its public key.  An element's images are keyed the same way, over its
-output slots, so multiplying monomials adds their keys.
+is its public key.  Images are keyed the same way, over their output
+slots, so multiplying monomials adds their keys.
 """
 
 from __future__ import annotations
@@ -21,15 +26,19 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 
+from . import fock
 from .elements import ModeTransform
+from .errors import FockPathError, ModeMismatchError
 from .fock import (
+    PRUNE_EPS,
     BasisState,
     Mode,
     PhotonState,
+    Slots,
+    _check_size,
     _SlotTerms,
     _at,
     _counts,
-    _element_slots,
     _finished,
     _mask,
     _occupied,
@@ -44,6 +53,7 @@ __all__ = [
     "polynomial_to_state",
     "substitute_modes",
     "apply_transform",
+    "evolve",
 ]
 
 ENGINE_NAME = "operators"
@@ -73,10 +83,11 @@ class CreationPolynomial(_SlotTerms):
         return f"CreationPolynomial(terms={self.terms!r})"
 
 
-def _root(counts: Iterable[int]) -> float:
-    """sqrt(prod m!) over ``counts``."""
-    # math.factorial serves small counts from CPython's built-in table
-    return math.sqrt(math.prod(map(math.factorial, counts)))
+def _root(counts: bytes) -> float:
+    """sqrt(prod m!) over the photon ``counts``."""
+    # counts 0 and 1 add a factor of 1; math.factorial serves the other
+    # small counts from CPython's built-in table
+    return math.sqrt(math.prod(map(math.factorial, counts.translate(None, b"\0\1"))))
 
 
 def state_to_polynomial(state: PhotonState) -> CreationPolynomial:
@@ -121,7 +132,7 @@ def _image(matrix, exponents: tuple[int, ...], outs, powers: dict) -> list[tuple
 
     ``powers`` maps column j to its base and its powers so far, ``column[e]
     = _product(column[e - 1], base)``; :func:`_substitute` shares one such
-    dict between the exponent tuples of one element.
+    dict between the exponent tuples of one call.
     """
     one = {0: 1.0 + 0j}
     image = one
@@ -138,11 +149,12 @@ def _image(matrix, exponents: tuple[int, ...], outs, powers: dict) -> list[tuple
 
 def _amplitude_image(matrix, exponents, outs, powers: dict) -> list[tuple[int, complex]]:
     """:func:`_image` times sqrt(prod m!)/sqrt(prod n!): amplitudes to amplitudes."""
-    root, image = _root(exponents), _image(matrix, exponents, outs, powers)
-    return [(k, c * _root(_at(k, outs)) / root) for k, c in image]
+    root, image = _root(bytes(exponents)), _image(matrix, exponents, outs, powers)
+    size = max(outs) + 1  # image keys hold photons in no other slot
+    return [(k, c * _root(_counts(k, size)) / root) for k, c in image]
 
 
-def _substitute(terms, ins, outs, matrix, image_of) -> dict[int, complex]:
+def _substitute(terms, ins, outs, matrix, image_of, limit: float = math.inf) -> dict[int, complex]:
     """``terms`` with ``image_of(matrix, exponents, outs, powers)`` of each
     key's input exponents (at slots ``ins``) in place of its counts there.
 
@@ -150,7 +162,9 @@ def _substitute(terms, ins, outs, matrix, image_of) -> dict[int, complex]:
     caches last this one call: the images by the key's bits at ``ins``, as
     ``(delta, c)`` pairs that move a key to key + delta; and the column
     ``powers`` of :func:`_image`.  Image keys add exactly, since the photon
-    budget keeps every count of theirs within MAX_COUNT.
+    budget keeps every count of theirs within MAX_COUNT.  Once the output
+    holds more than ``limit`` keys, and again each time it doubles, its
+    terms of magnitude PRUNE_EPS or more are held to fock.MAX_TERMS.
     """
     mask = _mask(ins)
     image_cache: dict[int, list[tuple[int, complex]]] = {}
@@ -171,7 +185,54 @@ def _substitute(terms, ins, outs, matrix, image_of) -> dict[int, complex]:
         for delta, c in image:
             k = key + delta
             out[k] = out.get(k, 0j) + coeff * c
+        if len(out) > limit:
+            _check_size(sum(abs(a) >= PRUNE_EPS for a in out.values()), "the state")
+            limit = 2 * len(out)
     return out
+
+
+def _composed(slots: Slots, terms, bound) -> tuple[Slots, tuple, tuple, list]:
+    """Compose the creation operator of each slot occupied in ``terms``
+    through every ``(transform, line)`` of ``bound``, in one walk.
+
+    Each mode's row holds its coefficient in each operator's image; an
+    element replaces its input modes' rows by their combinations, as its
+    output modes' rows.  A row with no coefficient of magnitude PRUNE_EPS or
+    more is dropped, as the path-sum engine drops such amplitudes, so that
+    rounding leaves no mode occupied.  A rerouting element's output mode
+    must hold no row, or ModeMismatchError is raised, naming ``line``
+    unless it is None.
+
+    Returns ``(table, ins, outs, matrix)`` for :func:`_substitute`: the
+    operators that moved sit at slots ``ins`` and the modes they reach at
+    slots ``outs`` of ``table``, which is ``slots`` plus a last slot for
+    each such mode that had none; ``matrix[i][j]`` is the coefficient of
+    ``outs[i]`` in the image of ``ins[j]``.
+    """
+    sources = _occupied(terms, len(slots))
+    n = len(sources)
+    rows = {slots[s]: [complex(j == k) for k in range(n)] for j, s in enumerate(sources)}
+    moved: set[int] = set()
+    for t, line in bound:
+        for m in t.out_modes:
+            if m in rows and m not in t.in_modes:
+                where = "" if line is None else f"line {line}: "
+                raise ModeMismatchError(f"{where}output mode {m.label()} is already occupied")
+        taken = [(j, rows.pop(m)) for j, m in enumerate(t.in_modes) if m in rows]
+        if not taken:  # no image reaches this element
+            continue
+        for _, row in taken:
+            moved.update(k for k, c in enumerate(row) if c)
+        for m, entries in zip(t.out_modes, t.matrix):
+            row = [sum(entries[j] * r[k] for j, r in taken) for k in range(n)]
+            if max(map(abs, row)) >= PRUNE_EPS:
+                rows[m] = row
+    keep = sorted(moved)
+    reached = [m for m, row in rows.items() if any(row[k] for k in keep)]
+    table = slots + tuple(m for m in reached if m not in slots)
+    ins = tuple(sources[k] for k in keep)
+    outs = tuple(map(table.index, reached))
+    return table, ins, outs, [[rows[m][k] for k in keep] for m in reached]
 
 
 def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPolynomial:
@@ -180,9 +241,25 @@ def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPoly
     The image of a monomial's input exponents is expanded once per exponent
     tuple, keyed over the element's output slots, and added to its key.
     """
-    slots, terms, ins, outs = _element_slots(poly, t)
-    out = _substitute(terms, ins, outs, t.matrix, _image)
-    return CreationPolynomial._trusted(slots, {k: c for k, c in out.items() if c != 0})
+    table, ins, outs, matrix = _composed(poly._slots, poly._terms, ((t, None),))
+    out = _substitute(poly._terms, ins, outs, matrix, _image)
+    return CreationPolynomial._trusted(table, {k: c for k, c in out.items() if c != 0})
+
+
+def _evolved(state: PhotonState, bound, limit: float = math.inf) -> PhotonState:
+    """``state`` through every element of ``bound`` with one expansion; see
+    :func:`evolve`.  An error of the expansion names the last element's
+    line, unless it is None."""
+    table, ins, outs, matrix = _composed(state._slots, state._terms, bound)
+    try:
+        new = _substitute(state._terms, ins, outs, matrix, _amplitude_image, limit)
+    except FockPathError as exc:
+        line = bound[-1][1]
+        if line is None:
+            raise
+        raise type(exc)(f"line {line}: {exc}") from exc
+    modes = [m for t, _ in bound for m in t.in_modes + t.out_modes]
+    return _finished(table, new, state.ports, modes)
 
 
 def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
@@ -190,6 +267,21 @@ def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
     amplitudes.  The result is normalized, with a RuntimeWarning if its
     squared norm drifted.
     """
-    slots, terms, ins, outs = _element_slots(state, t)
-    new = _substitute(terms, ins, outs, t.matrix, _amplitude_image)
-    return _finished(slots, new, state.ports, t.in_modes + t.out_modes)
+    return _evolved(state, ((t, None),))
+
+
+def evolve(state: PhotonState, bound) -> PhotonState:
+    """Evolve a state through a circuit's ``(transform, line)`` pairs (its
+    ``Circuit.bound``): compose every element first, then expand once.
+
+    A rerouting element into an occupied mode raises ModeMismatchError at
+    its line.  The expansion's errors name the last element's line: more
+    than MAX_COUNT photons to move in one term, or more than fock.MAX_TERMS
+    terms, which stops it as soon as its output passes them.  The result is
+    normalized, with a RuntimeWarning if its squared norm drifted.
+    """
+    if not bound:
+        return state
+    out = _evolved(state, bound, fock.MAX_TERMS)
+    _check_size(len(out), f"line {bound[-1][1]}: the state")
+    return out

@@ -23,7 +23,7 @@ from fockpath import (
     serialize_circuit,
 )
 from fockpath import operators, paths
-from fockpath.circuit import DEMO_CIRCUITS, Circuit, ElementStmt, elaborate
+from fockpath.circuit import DEMO_CIRCUITS, Circuit, ElementStmt, SourceStmt, elaborate
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -75,6 +75,18 @@ def test_rcp_lcp_pair_state():
     assert s.amplitude(BasisState({Mode("a", "x"): 2})) == pytest.approx(INV_SQRT2)
     assert s.amplitude(BasisState({Mode("a", "y"): 2})) == pytest.approx(INV_SQRT2)
     assert len(s.terms) == 2
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_rcp_lcp_pair_counts_two_photons_against_the_budget(n):
+    # make_source injects the pair whatever spec.n says; the parser sets n=2
+    # and SourceSpec's default is 0
+    circuit = Circuit(ports=("a",), sources=(SourceStmt("a", SourceSpec("rcp_lcp_pair", n=n)),))
+    with pytest.raises(PhotonBudgetError, match="sources may inject up to 2 photons"):
+        initial_state(circuit, max_photons=1)
+    assert initial_state(circuit, max_photons=2).amplitude({Mode("a", "x"): 2}) == pytest.approx(
+        INV_SQRT2
+    )
 
 
 def test_fock_source():

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import cmath
 import json
 import math
 import os
@@ -456,16 +457,16 @@ def test_env_var_rejects_garbage(capsys, monkeypatch):
 
 
 def test_engine_disagreement_exit_code(capsys, monkeypatch):
-    real_apply = fockpath.operators.apply_transform
+    # the operators engine's circuit entry, skewed by a global phase, which
+    # keeps the norm and moves every amplitude by about 1e-6 of itself
+    real_evolve = fockpath.operators.evolve
 
-    def skewed(state, transform):
-        out = real_apply(state, transform)
-        terms = {bs: amp * (1.0 + 1e-6) for bs, amp in out}
-        return PhotonState(terms, ports=out.ports)
+    def skewed(state, bound):
+        out = real_evolve(state, bound)
+        return PhotonState({bs: amp * cmath.exp(1e-6j) for bs, amp in out}, ports=out.ports)
 
-    monkeypatch.setattr(fockpath.operators, "apply_transform", skewed)
-    with pytest.warns(RuntimeWarning, match="squared norm"):
-        code, _, err = run_main(["run", "--demo", "hom"], capsys)
+    monkeypatch.setattr(fockpath.operators, "evolve", skewed)
+    code, _, err = run_main(["run", "--demo", "hom"], capsys)
     assert code == 3
     assert "disagree" in err
 

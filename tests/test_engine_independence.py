@@ -11,8 +11,11 @@ import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from fockpath import cli, fock
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fockpath"
 ENGINES = ("paths", "operators")
@@ -36,6 +39,38 @@ def test_engine_imports_no_other_engine(engine):
     (other,) = set(ENGINES) - {engine}
     source = (PACKAGE / f"{engine}.py").read_text(encoding="utf-8")
     assert other not in imported_modules(source)
+
+
+def test_operators_engine_keeps_no_slot_step_of_the_path_sum_engine():
+    """Which slot a rerouted mode takes is the path-sum engine's own step,
+    ``fock._element_slots``; the operators engine composes its images over
+    modes instead, so a defect in that step shows as a disagreement."""
+    source = (PACKAGE / "operators.py").read_text(encoding="utf-8")
+    assert "_element_slots" not in imported_modules(source)
+
+
+def test_a_defect_in_the_slot_step_makes_the_engines_disagree(tmp_path, capsys, monkeypatch):
+    """A mutant of ``fock._element_slots`` that swaps a rerouting element's
+    output modes, put in every module that imports the step: the engines
+    must then disagree (exit 3) on one photon at an unbalanced splitter."""
+    real = fock._element_slots
+
+    def swapped(state, t):
+        if set(t.in_modes) != set(t.out_modes):
+            t = SimpleNamespace(in_modes=t.in_modes, out_modes=t.out_modes[::-1])
+        return real(state, t)
+
+    for module in (fock, *map(importlib.import_module, (f"fockpath.{e}" for e in ENGINES))):
+        if hasattr(module, "_element_slots"):
+            monkeypatch.setattr(module, "_element_slots", swapped)
+    f = tmp_path / "unbalanced.fpc"
+    f.write_text(
+        "port a\nport b\nport c\nport d\nsource a fock 1\n"
+        "rbs r=0.6+0i t=0+0.8i a b -> c d\n"
+    )
+    code = cli.main(["run", str(f), "--engine", "both"])
+    assert code == 3, capsys.readouterr().err
+    assert "disagree" in capsys.readouterr().err
 
 
 def test_import_scan_sees_every_import_form():

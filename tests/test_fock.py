@@ -5,6 +5,7 @@ import json
 import math
 import random
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -35,6 +36,7 @@ from fockpath.fock import (
     _element_slots,
     _finished,
     _key,
+    _rekeyed,
     check_photon_budget,
 )
 
@@ -376,6 +378,27 @@ def test_inner_product_matches_public_key_formula():
             tx, ty = x.terms, y.terms
             want = sum(amp.conjugate() * ty.get(bs, 0j) for bs, amp in tx.items())
             assert inner_product(x, y) == pytest.approx(want, abs=1e-15)
+
+
+def test_rekeyed_comparison_reads_what_basis_state_keys_read():
+    """Where one state's slot table holds every mode the other occupies,
+    ``_aligned`` moves the other's packed keys onto it instead of building
+    a BasisState per term; the difference and the overlap come out
+    identical to the BasisState route, and the fallback is still taken."""
+    routes = Counter()
+    for a, b in _random_state_pairs(12, 400):
+        for x, y in ((a, b), (b, a)):
+            moved = _rekeyed(x, y._slots)
+            occupied = {m for bs in x.terms for m, _ in bs.items()}
+            assert (moved is None) == (not occupied <= set(y._slots))
+            if moved is not None:
+                assert PhotonState._trusted(y._slots, moved).terms == x.terms
+            tx, ty = x.terms, y.terms
+            routes["basis" if moved is None and _rekeyed(y, x._slots) is None else "packed"] += 1
+            assert max_amplitude_difference(x, y) == _public_key_difference(x, y)
+            overlap = complex(sum(v.conjugate() * ty[k] for k, v in tx.items() if k in ty))
+            assert inner_product(x, y) == overlap
+    assert min(routes.values()) > 50
 
 
 def test_expected_photon_number_matches_public_key_formula():

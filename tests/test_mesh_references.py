@@ -1,6 +1,8 @@
 """Deep and mixed-sector meshes against references outside the engines.
 
-Each engine runs on its own.  The reference composes the bound elements
+Each engine runs on its own, element by element, and the operators engine
+also as ``run_circuit`` drives it, on the whole circuit at once.  The
+reference composes the bound elements
 into one unitary over the circuit's modes: Fock amplitudes then follow from
 permanents of its submatrices (the brute-force permanent of
 ``test_paths``), and coherent beams move classically as U gamma.  Every
@@ -23,11 +25,14 @@ from fockpath import (
     initial_state,
     parse_circuit,
     random_circuit_text,
+    run_circuit,
 )
 from fockpath import operators, paths
 from test_paths import permanent
 
 ENGINES = {"paths": paths.apply_transform, "operators": operators.apply_transform}
+# the engines element by element, then run_circuit(engine="operators")
+ROUTES = (*sorted(ENGINES), "run_circuit")
 
 
 def mesh_text(rng, ports, layers, sources, phases=False):
@@ -62,10 +67,12 @@ def composed_unitary(bound, modes):
     return total
 
 
-def evolve(circuit, engine):
+def evolve(circuit, route):
+    if route == "run_circuit":
+        return run_circuit(circuit, engine="operators").state
     state = initial_state(circuit)
     for t, _ in elaborate(circuit):
-        state = ENGINES[engine](state, t)
+        state = ENGINES[route](state, t)
     return state
 
 
@@ -73,13 +80,14 @@ def mode_list(ports):
     return [Mode(f"p{i}", pol) for i in range(ports) for pol in ("x", "y")]
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_deep_mesh_matches_permanent_oracle(engine):
+def check_mesh_against_permanents(route, layers):
+    """Every 3-photon amplitude of a 6-port mesh of ``layers`` layers."""
     rng = random.Random(20240313)
     sources = [f"source p{i} fock 1 pol {rng.choice('xy')}" for i in (0, 2, 4)]
-    circuit = parse_circuit(mesh_text(rng, ports=6, layers=6, sources=sources))
+    circuit = parse_circuit(mesh_text(rng, ports=6, layers=layers, sources=sources))
     bound = elaborate(circuit)
-    assert len(bound) == 66
+    # a wave plate on each port and 3 or 2 splitters of two modes per layer
+    assert len(bound) == layers * 6 + (layers // 2) * 5 * 2
     modes = mode_list(6)
     unitary = composed_unitary(bound, modes)
     start = initial_state(circuit, 8)
@@ -87,7 +95,7 @@ def test_deep_mesh_matches_permanent_oracle(engine):
     cols = [modes.index(m) for m, n in bs_in.items() for _ in range(n)]
     norm_in = math.prod(math.factorial(n) for _, n in bs_in.items())
 
-    state = evolve(circuit, engine)
+    state = evolve(circuit, route)
     outputs = list(itertools.combinations_with_replacement(range(len(modes)), 3))
     assert len(outputs) == 364
     checked = 0
@@ -102,8 +110,17 @@ def test_deep_mesh_matches_permanent_oracle(engine):
     assert len(state) <= len(outputs)
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_coherent_mesh_moves_beams_classically(engine):
+@pytest.mark.parametrize("route", ROUTES)
+def test_deep_mesh_matches_permanent_oracle(route):
+    check_mesh_against_permanents(route, layers=6)
+
+
+def test_driver_runs_a_24_layer_mesh_on_the_operators_engine_to_the_permanents():
+    check_mesh_against_permanents("run_circuit", layers=24)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_coherent_mesh_moves_beams_classically(route):
     rng = random.Random(7)
     gammas = {"p0": 0.03 * complex(math.cos(0.4), math.sin(0.4)), "p1": 0.02j}
     sources = [
@@ -120,7 +137,7 @@ def test_coherent_mesh_moves_beams_classically(engine):
     gamma_in[modes.index(Mode("p1", "y"))] = gammas["p1"]
     gamma_out = unitary @ gamma_in
 
-    state = evolve(circuit, engine)
+    state = evolve(circuit, route)
     assert len({bs.total for bs, _ in state}) > 2  # several photon-number sectors
     targets = {
         m: CoherentParams(complex(g), default_truncation(complex(g)))

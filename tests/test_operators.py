@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import warnings
 
 import pytest
@@ -12,7 +13,10 @@ from fockpath import (
     BasisState,
     CreationPolynomial,
     Mode,
+    ModeMismatchError,
+    PhotonBudgetError,
     PhotonState,
+    initial_state,
     inner_product,
     make_pbs,
     make_phase_shifter,
@@ -20,11 +24,14 @@ from fockpath import (
     make_rbs,
     make_split50_rbs,
     make_waveplate,
+    parse_circuit,
     polynomial_to_state,
+    random_circuit_text,
+    run_circuit,
     state_to_polynomial,
     substitute_modes,
 )
-from fockpath import operators, paths
+from fockpath import fock, operators, paths
 from fockpath.fock import _at, _counts, _key, max_amplitude_difference, normalize
 
 M1, M2 = Mode("1", "x"), Mode("2", "x")
@@ -329,3 +336,79 @@ def test_apply_transform_matches_polynomial_route(name, t, empty):
         assert out.terms.keys() == ref.terms.keys()
         assert out.ports == ref.ports
         assert max_amplitude_difference(out, ref) <= 1e-15
+
+
+# --- the whole circuit at once ------------------------------------------------
+
+
+def test_evolve_matches_element_by_element_substitution(circuits_dir):
+    """Composing every element before the one expansion gives what
+    expanding after each element gives, term for term."""
+    rng = random.Random(404)
+    texts = [f.read_text() for f in sorted(circuits_dir.glob("*.fpc"))]
+    texts += [random_circuit_text(rng, max_elements=6) for _ in range(200)]
+    for text in texts:
+        circuit = parse_circuit(text)
+        start = initial_state(circuit)
+        stepped = start
+        for t, _ in circuit.bound:
+            stepped = operators.apply_transform(stepped, t)
+        whole = operators.evolve(start, circuit.bound)
+        assert whole.terms.keys() == stepped.terms.keys(), text
+        assert whole.ports == stepped.ports
+        assert max_amplitude_difference(whole, stepped) < 1e-14, text
+
+
+def _run(text, engine):
+    return run_circuit(parse_circuit(text), engine=engine).state
+
+
+@pytest.mark.parametrize("engine", ["paths", "operators"])
+def test_rerouting_into_a_mode_an_earlier_element_filled_fails_at_its_line(engine):
+    text = (
+        "port a\nport b\nport c\nport d\nport e\nport f\nport g\n"
+        "source a fock 1 pol x\nrbs split=50 a b -> c d\nrbs split=50 e f -> c g\n"
+    )
+    with pytest.raises(ModeMismatchError, match="^line 10: output mode c.x is already occupied$"):
+        _run(text, engine)
+    # once the photon has moved on, its mode may be filled again
+    moved_on = text.replace("rbs split=50 e f", "rbs split=50 c d -> e f\nrbs split=50 e f")
+    assert _run(moved_on, engine).terms.keys() == _run(moved_on, "paths").terms.keys()
+
+
+@pytest.mark.parametrize("engine", ["paths", "operators", "both"])
+def test_rounding_leaves_no_mode_occupied(engine):
+    # two half-wave plates at 22.5 degrees give the x photon back with a y
+    # part of about 1e-17, which the pbs sends to r.y; the splitter after it
+    # may still write to r, since no amplitude of PRUNE_EPS reaches it
+    text = (
+        "port a\nport b\nport t\nport r\nport e\nport f\nport g\nsource a fock 1 pol x\n"
+        "waveplate phase=180 axis=22.5 on a\nwaveplate phase=180 axis=22.5 on a\n"
+        "pbs axis=0 a -> t r\nrbs split=50 e f -> r g\n"
+    )
+    [(basis, amp)] = _run(text, engine)
+    assert basis.label() == "t.x=1" and abs(amp - 1) < 1e-15
+
+
+@pytest.mark.parametrize("engine", ["paths", "operators"])
+def test_state_size_guard_counts_only_terms_that_survive_pruning(engine, monkeypatch):
+    # |1, 1> at a 50:50 splitter: the operators engine's expansion holds the
+    # (1, 1) key too, but its amplitude cancels below PRUNE_EPS
+    hom = "port a\nport b\nsource a fock 1\nsource b fock 1\nrbs split=50 a b -> a b\n"
+    monkeypatch.setattr(fock, "MAX_TERMS", 2)
+    assert len(_run(hom, engine)) == 2
+
+
+def test_state_size_guard_stops_the_expansion_early(monkeypatch):
+    # two weak coherent beams give many input terms, so the expansion passes
+    # the limit long before its last term
+    text = (
+        "port a\nport b\nsource a coherent re=0.1 im=0.02\nsource b coherent re=0 im=0.1 pol y\n"
+        "waveplate phase=40 axis=10 on a\nrbs split=50 a b -> a b\nwaveplate phase=70 axis=5 on b\n"
+    )
+    full = len(_run(text, "operators"))
+    monkeypatch.setattr(fock, "MAX_TERMS", full // 4)
+    with pytest.raises(PhotonBudgetError, match=r"^line 7: the state has (\d+) terms") as caught:
+        _run(text, "operators")
+    reached = int(re.match(r"line 7: the state has (\d+)", str(caught.value)).group(1))
+    assert full // 4 < reached < full
