@@ -68,8 +68,7 @@ def test_a_defect_in_the_slot_step_makes_the_engines_disagree(tmp_path, capsys, 
         "port a\nport b\nport c\nport d\nsource a fock 1\n"
         "rbs r=0.6+0i t=0+0.8i a b -> c d\n"
     )
-    code = cli.main(["run", str(f), "--engine", "both"])
-    assert code == 3, capsys.readouterr().err
+    assert cli.main(["run", str(f), "--engine", "both"]) == 3
     assert "disagree" in capsys.readouterr().err
 
 

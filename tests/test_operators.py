@@ -408,7 +408,7 @@ def test_state_size_guard_stops_the_expansion_early(monkeypatch):
     )
     full = len(_run(text, "operators"))
     monkeypatch.setattr(fock, "MAX_TERMS", full // 4)
-    with pytest.raises(PhotonBudgetError, match=r"^line 7: the state has (\d+) terms") as caught:
+    with pytest.raises(PhotonBudgetError, match="^line 7: the state has ") as caught:
         _run(text, "operators")
-    reached = int(re.match(r"line 7: the state has (\d+)", str(caught.value)).group(1))
+    reached = int(re.search(r"has (\d+) terms", str(caught.value)).group(1))
     assert full // 4 < reached < full
