@@ -10,8 +10,8 @@ so failures leave no partial file.
 ``run`` and ``trace`` take the photon budget from ``--max-photons`` or
 ``FOCKPATH_MAX_PHOTONS`` and check it where photons enter; ``run`` checks
 the initial state against ``fock.MAX_TERMS``, and so do the engines: the
-path-sum engine each element's output, the operators engine its one
-expansion while it grows.
+path-sum engine each element's output, the operators engine each
+expansion, which it stops early once the output must end above the limit.
 """
 
 from __future__ import annotations

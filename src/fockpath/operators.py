@@ -9,10 +9,12 @@ slot's creation operator as a column of coefficients over the current
 modes; each element rewrites only its own modes' entries.  It then expands
 the image of each monomial once, by iterated multiplication once per
 exponent tuple of the moved slots, and scales it by sqrt(prod m!)/sqrt(prod
-n!), which substitutes Fock amplitudes directly.  :func:`apply_transform`
-is the one-element case.  This is an independent derivation of the same
-physics as the path-sum engine, which is why comparing the two is a
-meaningful correctness check.
+n!), which substitutes Fock amplitudes directly.  Only a rerouting element
+whose output mode may still hold photons splits the walk: the elements
+before it are expanded first, so that the element sees the pruned state.
+:func:`apply_transform` is the one-element case.  This is an independent
+derivation of the same physics as the path-sum engine, which is why
+comparing the two is a meaningful correctness check.
 
 Monomials are keyed like state terms: a monomial prod_m (a_m^dag)^{e_m} is
 the int that packs its exponents over a slot table of modes, one byte per
@@ -25,10 +27,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping
+from itertools import islice
 
 from . import fock
 from .elements import ModeTransform
-from .errors import FockPathError, ModeMismatchError
+from .errors import FockPathError, ModeMismatchError, PhotonBudgetError
 from .fock import (
     PRUNE_EPS,
     BasisState,
@@ -154,7 +157,7 @@ def _amplitude_image(matrix, exponents, outs, powers: dict) -> list[tuple[int, c
     return [(k, c * _root(_counts(k, size)) / root) for k, c in image]
 
 
-def _substitute(terms, ins, outs, matrix, image_of, limit: float = math.inf) -> dict[int, complex]:
+def _substitute(terms, ins, outs, matrix, image_of) -> dict[int, complex]:
     """``terms`` with ``image_of(matrix, exponents, outs, powers)`` of each
     key's input exponents (at slots ``ins``) in place of its counts there.
 
@@ -163,14 +166,16 @@ def _substitute(terms, ins, outs, matrix, image_of, limit: float = math.inf) -> 
     ``(delta, c)`` pairs that move a key to key + delta; and the column
     ``powers`` of :func:`_image`.  Image keys add exactly, since the photon
     budget keeps every count of theirs within MAX_COUNT.  Once the output
-    holds more than ``limit`` keys, and again each time it doubles, its
-    terms of magnitude PRUNE_EPS or more are held to fock.MAX_TERMS.
+    holds more than fock.MAX_TERMS keys, and again each time it grows by a
+    quarter, :func:`_check_partial` stops it if its final state must be
+    larger; after the last term the caller counts the pruned state itself.
     """
     mask = _mask(ins)
     image_cache: dict[int, list[tuple[int, complex]]] = {}
     powers: dict = {}
     out: dict[int, complex] = {}
-    for key, coeff in terms.items():
+    limit = fock.MAX_TERMS
+    for done, (key, coeff) in enumerate(terms.items(), 1):
         fields = key & mask
         if not fields:  # no other key reaches this one
             out[key] = 0j + coeff
@@ -185,39 +190,77 @@ def _substitute(terms, ins, outs, matrix, image_of, limit: float = math.inf) -> 
         for delta, c in image:
             k = key + delta
             out[k] = out.get(k, 0j) + coeff * c
-        if len(out) > limit:
-            _check_size(sum(abs(a) >= PRUNE_EPS for a in out.values()), "the state")
-            limit = 2 * len(out)
+        if len(out) > limit and done < len(terms):
+            left = (k & mask for k in islice(terms, done, None))
+            _check_partial(out, left, image_cache, ins, len(outs))
+            limit = len(out) + len(out) // 4
     return out
 
 
-def _composed(slots: Slots, terms, bound) -> tuple[Slots, tuple, tuple, list]:
+def _check_partial(out, left, image_cache, ins, width: int) -> None:
+    """Raise PhotonBudgetError if a partial sum ``out`` of
+    :func:`_substitute` must end with more than fock.MAX_TERMS terms.
+
+    Its terms of magnitude PRUNE_EPS or more can only be cancelled where
+    the input terms still to come add to their keys.  ``left`` holds those
+    terms' bits at slots ``ins``: such a term reaches as many keys as its
+    cached image holds, or else at most as many as there are ways to place
+    its photons on the ``width`` output slots.
+    """
+    kept = sum(abs(a) >= PRUNE_EPS for a in out.values())
+    if kept <= fock.MAX_TERMS:
+        return
+    reach: dict[int, int] = {0: 1}
+    for fields in left:
+        if fields not in reach:
+            image = image_cache.get(fields)
+            if image is None:
+                photons = sum(_at(fields, ins))
+                reach[fields] = math.comb(photons + width - 1, width - 1)
+            else:
+                reach[fields] = len(image)
+        kept -= reach[fields]
+        if kept <= fock.MAX_TERMS:
+            return
+    raise PhotonBudgetError(
+        f"the state has at least {kept} terms, more than the maximum of {fock.MAX_TERMS}"
+    )
+
+
+def _composed(slots: Slots, terms, bound) -> tuple[int, Slots, tuple, tuple, list]:
     """Compose the creation operator of each slot occupied in ``terms``
-    through every ``(transform, line)`` of ``bound``, in one walk.
+    through the ``(transform, line)`` pairs of ``bound``, in one walk, up to
+    the first rerouting element with an output mode that still holds a row.
 
     Each mode's row holds its coefficient in each operator's image; an
     element replaces its input modes' rows by their combinations, as its
     output modes' rows.  A row with no coefficient of magnitude PRUNE_EPS or
-    more is dropped, as the path-sum engine drops such amplitudes, so that
-    rounding leaves no mode occupied.  A rerouting element's output mode
-    must hold no row, or ModeMismatchError is raised, naming ``line``
-    unless it is None.
+    more is dropped, as the path-sum engine drops such amplitudes.  A row
+    that is kept may still cancel in the state, so the walk stops before
+    the rerouting element it meets.  Only when that element is the first,
+    where every row is an occupied slot of ``terms``, is ModeMismatchError
+    raised, naming ``line`` unless it is None.
 
-    Returns ``(table, ins, outs, matrix)`` for :func:`_substitute`: the
-    operators that moved sit at slots ``ins`` and the modes they reach at
-    slots ``outs`` of ``table``, which is ``slots`` plus a last slot for
-    each such mode that had none; ``matrix[i][j]`` is the coefficient of
-    ``outs[i]`` in the image of ``ins[j]``.
+    Returns ``(done, table, ins, outs, matrix)`` for :func:`_substitute`:
+    ``done`` elements were composed; the operators that moved sit at slots
+    ``ins`` and the modes they reach at slots ``outs`` of ``table``, which
+    is ``slots`` plus a last slot for each such mode that had none;
+    ``matrix[i][j]`` is the coefficient of ``outs[i]`` in the image of
+    ``ins[j]``.
     """
     sources = _occupied(terms, len(slots))
     n = len(sources)
     rows = {slots[s]: [complex(j == k) for k in range(n)] for j, s in enumerate(sources)}
     moved: set[int] = set()
+    done = 0
     for t, line in bound:
-        for m in t.out_modes:
-            if m in rows and m not in t.in_modes:
-                where = "" if line is None else f"line {line}: "
-                raise ModeMismatchError(f"{where}output mode {m.label()} is already occupied")
+        filled = [m for m in t.out_modes if m in rows and m not in t.in_modes]
+        if filled and done:
+            break
+        if filled:
+            where = "" if line is None else f"line {line}: "
+            raise ModeMismatchError(f"{where}output mode {filled[0].label()} is already occupied")
+        done += 1
         taken = [(j, rows.pop(m)) for j, m in enumerate(t.in_modes) if m in rows]
         if not taken:  # no image reaches this element
             continue
@@ -232,7 +275,7 @@ def _composed(slots: Slots, terms, bound) -> tuple[Slots, tuple, tuple, list]:
     table = slots + tuple(m for m in reached if m not in slots)
     ins = tuple(sources[k] for k in keep)
     outs = tuple(map(table.index, reached))
-    return table, ins, outs, [[rows[m][k] for k in keep] for m in reached]
+    return done, table, ins, outs, [[rows[m][k] for k in keep] for m in reached]
 
 
 def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPolynomial:
@@ -241,47 +284,43 @@ def substitute_modes(poly: CreationPolynomial, t: ModeTransform) -> CreationPoly
     The image of a monomial's input exponents is expanded once per exponent
     tuple, keyed over the element's output slots, and added to its key.
     """
-    table, ins, outs, matrix = _composed(poly._slots, poly._terms, ((t, None),))
+    _, table, ins, outs, matrix = _composed(poly._slots, poly._terms, ((t, None),))
     out = _substitute(poly._terms, ins, outs, matrix, _image)
     return CreationPolynomial._trusted(table, {k: c for k, c in out.items() if c != 0})
 
 
-def _evolved(state: PhotonState, bound, limit: float = math.inf) -> PhotonState:
-    """``state`` through every element of ``bound`` with one expansion; see
-    :func:`evolve`.  An error of the expansion names the last element's
-    line, unless it is None."""
-    table, ins, outs, matrix = _composed(state._slots, state._terms, bound)
-    try:
-        new = _substitute(state._terms, ins, outs, matrix, _amplitude_image, limit)
-    except FockPathError as exc:
-        line = bound[-1][1]
-        if line is None:
-            raise
-        raise type(exc)(f"line {line}: {exc}") from exc
-    modes = [m for t, _ in bound for m in t.in_modes + t.out_modes]
-    return _finished(table, new, state.ports, modes)
-
-
 def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
     """Evolve a state through one element via operator substitution on its
-    amplitudes.  The result is normalized, with a RuntimeWarning if its
-    squared norm drifted.
+    amplitudes; see :func:`evolve`.
     """
-    return _evolved(state, ((t, None),))
+    return evolve(state, ((t, None),))
 
 
 def evolve(state: PhotonState, bound) -> PhotonState:
     """Evolve a state through a circuit's ``(transform, line)`` pairs (its
-    ``Circuit.bound``): compose every element first, then expand once.
+    ``Circuit.bound``): compose the elements first, then expand once.
 
-    A rerouting element into an occupied mode raises ModeMismatchError at
-    its line.  The expansion's errors name the last element's line: more
-    than MAX_COUNT photons to move in one term, or more than fock.MAX_TERMS
-    terms, which stops it as soon as its output passes them.  The result is
-    normalized, with a RuntimeWarning if its squared norm drifted.
+    Where a rerouting element writes to a mode that may still hold photons,
+    the elements before it are expanded first, and the walk goes on from
+    that state, whose amplitudes below PRUNE_EPS are dropped; the element
+    raises ModeMismatchError at its line if the mode is occupied there.  An
+    expansion's errors name its last element's line: more than MAX_COUNT
+    photons to move in one term, or more than fock.MAX_TERMS terms, which
+    stops it as soon as its output must end above them.  Lines that are
+    None are not named.  The result is normalized, with a RuntimeWarning
+    if its squared norm drifted.
     """
-    if not bound:
-        return state
-    out = _evolved(state, bound, fock.MAX_TERMS)
-    _check_size(len(out), f"line {bound[-1][1]}: the state")
-    return out
+    while bound:
+        done, table, ins, outs, matrix = _composed(state._slots, state._terms, bound)
+        line = bound[done - 1][1]
+        try:
+            new = _substitute(state._terms, ins, outs, matrix, _amplitude_image)
+            modes = [m for t, _ in bound[:done] for m in t.in_modes + t.out_modes]
+            state = _finished(table, new, state.ports, modes)
+            _check_size(len(state), "the state")
+        except FockPathError as exc:
+            if line is None:
+                raise
+            raise type(exc)(f"line {line}: {exc}") from exc
+        bound = bound[done:]
+    return state

@@ -390,6 +390,25 @@ def test_rounding_leaves_no_mode_occupied(engine):
     assert basis.label() == "t.x=1" and abs(amp - 1) < 1e-15
 
 
+@pytest.mark.parametrize("engine", ["paths", "operators", "both"])
+@pytest.mark.parametrize("angle", [45, -45])
+def test_rerouting_into_a_mode_whose_amplitudes_cancelled(engine, angle):
+    # one photon at 45 degrees holds the x and y slots of a; turned to x, its
+    # y coefficient is nonzero in each slot's image but cancels in the sum,
+    # so the pbs leaves r.y empty and the splitter may write to r; turned to
+    # y, it fills r.y
+    text = (
+        "port a\nport t\nport r\nport e\nport f\nport g\nsource a linpol angle=45 n=1\n"
+        f"rotpol angle={angle} on a\npbs axis=0 a -> t r\nrbs split=50 e f -> r g\n"
+    )
+    if angle < 0:
+        with pytest.raises(ModeMismatchError, match="^line 10: output mode r.y is already occupied$"):
+            _run(text, engine)
+        return
+    [(basis, amp)] = _run(text, engine)
+    assert basis.label() == "t.x=1" and abs(abs(amp) - 1) < 1e-15
+
+
 @pytest.mark.parametrize("engine", ["paths", "operators"])
 def test_state_size_guard_counts_only_terms_that_survive_pruning(engine, monkeypatch):
     # |1, 1> at a 50:50 splitter: the operators engine's expansion holds the
@@ -399,16 +418,37 @@ def test_state_size_guard_counts_only_terms_that_survive_pruning(engine, monkeyp
     assert len(_run(hom, engine)) == 2
 
 
-def test_state_size_guard_stops_the_expansion_early(monkeypatch):
-    # two weak coherent beams give many input terms, so the expansion passes
-    # the limit long before its last term
-    text = (
-        "port a\nport b\nsource a coherent re=0.1 im=0.02\nsource b coherent re=0 im=0.1 pol y\n"
-        "waveplate phase=40 axis=10 on a\nrbs split=50 a b -> a b\nwaveplate phase=70 axis=5 on b\n"
+# two weak coherent beams on ports no element touches: 25 spectator terms
+SPECTATORS = (
+    "port a\nport b\nport c\nport d\nport s\nport u\n{source}\n"
+    "source s coherent re=0.1 im=0.02\nsource u coherent re=0 im=0.1 pol y\n{elements}"
+)
+
+
+@pytest.mark.parametrize("engine", ["paths", "operators", "both"])
+def test_state_size_guard_allows_cancellation_between_input_terms(engine, monkeypatch):
+    # the three terms of two photons at 45 degrees reach ten keys each at the
+    # splitter, but the half-wave plate turns them to x first, so only three
+    # survive their sum; the first source's terms come first in the input,
+    # so the expansion holds ten keys per spectator term for a while
+    text = SPECTATORS.format(
+        source="source a linpol angle=45 n=2",
+        elements="waveplate phase=180 axis=22.5 on a\nrbs split=50 a b -> c d\n",
     )
-    full = len(_run(text, "operators"))
-    monkeypatch.setattr(fock, "MAX_TERMS", full // 4)
-    with pytest.raises(PhotonBudgetError, match="^line 7: the state has ") as caught:
-        _run(text, "operators")
-    reached = int(re.search(r"has (\d+) terms", str(caught.value)).group(1))
-    assert full // 4 < reached < full
+    monkeypatch.setattr(fock, "MAX_TERMS", 100)
+    state = run_circuit(parse_circuit(text), engine=engine, max_photons=12).state
+    assert len(state) == 75
+
+
+def test_state_size_guard_stops_the_expansion_early(monkeypatch):
+    # each spectator term's image lands on keys of its own, so once the sum
+    # holds more terms than those still to come can cancel, the final state
+    # must pass the limit, long before the last input term
+    text = SPECTATORS.format(source="source a fock 1", elements="rbs split=50 a b -> c d\n")
+    circuit = parse_circuit(text)
+    full = len(run_circuit(circuit, engine="operators", max_photons=12).state)
+    monkeypatch.setattr(fock, "MAX_TERMS", full // 2)  # the input's size
+    with pytest.raises(PhotonBudgetError, match="^line 10: the state has at least ") as caught:
+        run_circuit(circuit, engine="operators", max_photons=12)
+    reached = int(re.search(r"at least (\d+) terms", str(caught.value)).group(1))
+    assert full // 2 < reached < full
