@@ -45,7 +45,6 @@ from .elements import (
 from .errors import (
     EnergyConservationError,
     EngineDisagreementError,
-    FockPathError,
     NonUnitaryError,
     ParseError,
     PhaseRelationError,
@@ -85,9 +84,9 @@ __all__ = [
 
 ENGINE_TOLERANCE = 1e-9
 
-# the engines, in the order ``both`` runs them; each engine function is
-# looked up on its module on each run, so a wrapped or patched one runs
-_ENGINES = ("paths", "operators")
+# the engine modules by name, in the order ``both`` runs them; each
+# module's ``evolve`` is looked up on each run, so a wrapped or patched one runs
+_ENGINES = {m.ENGINE_NAME: m for m in (paths, operators)}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _FLOAT_BODY = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -569,30 +568,13 @@ class RunResult:
     discrepancy: float | None = None
 
 
-def _evolve(state: PhotonState, bound, engine: str) -> PhotonState:
-    """Evolve ``state`` through the bound elements on one engine.  The
-    operators engine takes the whole circuit at once; the path-sum engine
-    takes each element in turn, and its state after each is held to
-    ``fock.MAX_TERMS``.  No element changes the photon total of a term, so
-    the budget ``initial_state`` checked still holds."""
-    if engine == "operators":
-        return operators.evolve(state, bound)
-    for transform, line in bound:
-        try:
-            state = paths.apply_transform(state, transform)
-        except FockPathError as exc:
-            raise type(exc)(f"line {line}: {exc}") from exc
-        _check_size(len(state), f"line {line}: the state")
-    return state
-
-
 def _run_engines(
     circuit: Circuit, names, max_photons: int
 ) -> tuple[PhotonState, float | None]:
     """Evolve the circuit on each named engine; return the first engine's
     final state and, for two engines, their max amplitude difference."""
     start = initial_state(circuit, max_photons)
-    states = [_evolve(start, circuit.bound, name) for name in names]
+    states = [_ENGINES[name].evolve(start, circuit.bound) for name in names]
     discrepancy = max_amplitude_difference(*states) if len(states) == 2 else None
     return states[0], discrepancy
 

@@ -5,8 +5,10 @@ superpositions of Fock basis states with complex amplitudes.  A state keeps a
 slot table, a tuple of modes, and keys each amplitude by one int, slot i's
 photon count in bits 8i..8i+7; only the key helpers (:func:`_key` and the
 four after it) know that layout.  The evolution engines read and write
-these keys directly.  :class:`BasisState`, the public key
-type, is built only where terms leave a state (``terms``, iteration,
+these keys directly, each over slot tables of its own; two states over
+different tables compare by re-keying the second onto the first's table
+followed by the modes only the second has.  :class:`BasisState`, the public
+key type, is built only where terms leave a state (``terms``, iteration,
 ``sorted_terms``, JSON), so neither the slot order nor the order of
 construction ever shows.
 """
@@ -22,7 +24,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ModeMismatchError, NullStateError, PhotonBudgetError, UnknownPortError
+from .errors import NullStateError, PhotonBudgetError, UnknownPortError
 
 __all__ = [
     "DEFAULT_MAX_PHOTONS",
@@ -286,36 +288,6 @@ class _SlotTerms:
         return len(self._terms)
 
 
-def _element_slots(state: _SlotTerms, t) -> tuple[Slots, dict[int, complex], tuple, tuple]:
-    """The path-sum engine's first step through the element ``t`` (a
-    ModeTransform): find the slot table after ``t``.
-
-    Returns ``(table, terms, ins, outs)``, where ``terms`` is the state's
-    own dict: an input mode missing from its slots gets a new last slot,
-    which every key already holds empty.  ``t`` reads ``t.in_modes[k]`` at
-    slot ``ins[k]`` of those keys and writes ``t.out_modes[k]`` at slot
-    ``outs[k]`` of keys over ``table``; both index the same set of slots.
-    The output modes of a rerouting element (disjoint from its inputs) take over its input
-    modes' slots, so ``outs == ins``.  An output mode that already has a
-    slot must be empty in every key, or ModeMismatchError is raised; its
-    slot passes to the input mode it replaces, which is now empty.
-    """
-    slots, terms, in_modes, out_modes = state._slots, state._terms, t.in_modes, t.out_modes
-    slots += tuple(m for m in in_modes if m not in slots)
-    ins = tuple(map(slots.index, in_modes))
-    if set(in_modes) == set(out_modes):
-        return slots, terms, ins, tuple(map(slots.index, out_modes))
-    table = list(slots)
-    for m_in, m_out, i in zip(in_modes, out_modes, ins):
-        if m_out in slots:
-            j = slots.index(m_out)
-            if j in _occupied(terms, len(slots)):
-                raise ModeMismatchError(f"output mode {m_out.label()} is already occupied")
-            table[j] = m_in
-        table[i] = m_out
-    return tuple(table), terms, ins, ins
-
-
 def _finite(terms: dict, slots: Slots | None = None) -> dict:
     """``terms``, or ValueError naming the key of a non-finite value: a
     BasisState, or a packed key over ``slots`` when they are given."""
@@ -470,12 +442,10 @@ def _finished(
     return state
 
 
-def _rekeyed(state: PhotonState, slots: Slots) -> dict | None:
-    """The terms of ``state`` keyed over the slot table ``slots``, or None
-    if a mode that ``state`` occupies has no slot there."""
+def _rekeyed(state: PhotonState, slots: Slots) -> dict:
+    """The terms of ``state`` keyed over the slot table ``slots``, which
+    holds every mode of ``state``'s own table."""
     size = len(state._slots)
-    if any(state._slots[i] not in slots for i in _occupied(state._terms, size)):
-        return None
     index = {m: i for i, m in enumerate(state._slots)}
     # byte j of a new key is byte source[j] of the old key written with one
     # more byte, a zero at ``size``; the last, extra zero keeps the getter's
@@ -488,18 +458,12 @@ def _rekeyed(state: PhotonState, slots: Slots) -> dict | None:
 
 
 def _aligned(a: PhotonState, b: PhotonState) -> tuple[dict, dict]:
-    """The terms of ``a`` and ``b`` under one kind of key: packed keys over
-    one of their slot tables when it holds every mode the other occupies,
-    and :class:`BasisState` keys otherwise."""
+    """The terms of ``a`` and ``b`` keyed over one slot table: ``a``'s,
+    followed by the modes only ``b`` has.  Those new slots are empty in
+    every key of ``a``, so its keys stay as they are."""
     if a._slots == b._slots:
         return a._terms, b._terms
-    ta = _rekeyed(a, b._slots)
-    if ta is not None:
-        return ta, b._terms
-    tb = _rekeyed(b, a._slots)
-    if tb is not None:
-        return a._terms, tb
-    return a.terms, b.terms
+    return a._terms, _rekeyed(b, a._slots + tuple(m for m in b._slots if m not in a._slots))
 
 
 def inner_product(a: PhotonState, b: PhotonState) -> complex:

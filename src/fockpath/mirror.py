@@ -141,6 +141,12 @@ class MirrorGeometry:
         for name in ("focal_length", "aperture_radius", "wavelength", "z1", "z2"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be positive and finite")
+        # the quadrature scales by the aperture area and the wavenumber
+        r, lam = self.aperture_radius, self.wavelength
+        if not math.isfinite(math.pi * r * r):
+            raise ValueError(f"aperture_radius must keep pi * aperture_radius**2 finite, got {r!r}")
+        if not math.isfinite(2.0 * math.pi / lam):
+            raise ValueError(f"wavelength must keep 2 pi / wavelength finite, got {lam!r}")
 
     @classmethod
     def imaging(

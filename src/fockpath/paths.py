@@ -23,19 +23,21 @@ from functools import lru_cache
 # unitarity_defect and normalize stay importable from here, unused:
 # perfbench/tracer.py wraps both, and its --trace 1 run fails without them.
 from .elements import ModeTransform, require_unitary, unitarity_defect  # noqa: F401
+from .errors import FockPathError, ModeMismatchError
 from .fock import (
     DEFAULT_MAX_PHOTONS,
     PhotonState,
     check_photon_budget,
     _at,
-    _element_slots,
+    _check_size,
     _finished,
     _mask,
+    _occupied,
     _unit,
     normalize,  # noqa: F401
 )
 
-__all__ = ["RoutingTrace", "scatter_two_mode", "trace_paths", "apply_transform"]
+__all__ = ["RoutingTrace", "scatter_two_mode", "trace_paths", "apply_transform", "evolve"]
 
 ENGINE_NAME = "paths"
 
@@ -166,6 +168,35 @@ def _moves(fields: int, ins, units, matrix) -> list[tuple[int, complex]]:
     return [(ma * u1 + mb * u2 - fields, a) for (ma, mb), a in scattered.items()]
 
 
+def _element_slots(state: PhotonState, t: ModeTransform) -> tuple[tuple, tuple, tuple]:
+    """The first step through the element ``t``: the slot table after it.
+
+    Returns ``(table, ins, outs)``.  An input mode missing from the state's
+    slots gets a new last slot, empty in every key, so the state's keys stay
+    valid.  ``t`` reads ``t.in_modes[k]`` at slot ``ins[k]`` of those keys
+    and writes ``t.out_modes[k]`` at slot ``outs[k]`` of keys over
+    ``table``.  The output modes of a rerouting element (disjoint from its
+    inputs) take over its input modes' slots, so ``outs == ins``.  An output
+    mode that already has a slot must be empty in every key, or
+    ModeMismatchError is raised; its slot passes to the input mode it
+    replaces, which is now empty.
+    """
+    slots, in_modes, out_modes = state._slots, t.in_modes, t.out_modes
+    slots += tuple(m for m in in_modes if m not in slots)
+    ins = tuple(map(slots.index, in_modes))
+    if set(in_modes) == set(out_modes):
+        return slots, ins, tuple(map(slots.index, out_modes))
+    table = list(slots)
+    for m_in, m_out, i in zip(in_modes, out_modes, ins):
+        if m_out in slots:
+            j = slots.index(m_out)
+            if j in _occupied(state._terms, len(slots)):
+                raise ModeMismatchError(f"output mode {m_out.label()} is already occupied")
+            table[j] = m_in
+        table[i] = m_out
+    return tuple(table), ins, ins
+
+
 def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
     """Evolve a state through one element by summing photon routings.
 
@@ -174,11 +205,11 @@ def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
     routing and passes unchanged.  The result is normalized, with a
     RuntimeWarning if its squared norm drifted.
     """
-    slots, terms, ins, outs = _element_slots(state, t)
+    slots, ins, outs = _element_slots(state, t)
     mask, units = _mask(ins), tuple(map(_unit, outs))
     cache: dict[int, list[tuple[int, complex]]] = {}
     new: dict[int, complex] = {}
-    for key, amp in terms.items():
+    for key, amp in state._terms.items():
         fields = key & mask
         if not fields:  # no other term reaches this key
             new[key] = 0j + amp
@@ -190,3 +221,18 @@ def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
             nk = key + delta
             new[nk] = new.get(nk, 0j) + amp * s_amp
     return _finished(slots, new, state.ports, t.in_modes + t.out_modes)
+
+
+def evolve(state: PhotonState, bound) -> PhotonState:
+    """Evolve a state through a circuit's ``(transform, line)`` pairs (its
+    ``Circuit.bound``), one element at a time, each through this module's
+    ``apply_transform`` as it is at that call.  An element's errors name its
+    line, and the state after each is held to ``fock.MAX_TERMS``; no element
+    changes a term's photon total, so the input state's budget still holds."""
+    for transform, line in bound:
+        try:
+            state = apply_transform(state, transform)
+        except FockPathError as exc:
+            raise type(exc)(f"line {line}: {exc}") from exc
+        _check_size(len(state), f"line {line}: the state")
+    return state

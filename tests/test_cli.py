@@ -696,6 +696,17 @@ def test_airy_distance_errors_name_the_given_plane(capsys, argv, flag, problem):
     assert flag in err and problem in err, err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--aperture", "1e200"], "aperture_radius must keep pi * aperture_radius**2 finite, got 1e+200"),
+        (["--wavelength", "1e-320"], "wavelength must keep 2 pi / wavelength finite, got 1e-320"),
+    ],
+)
+def test_airy_rejects_a_geometry_whose_area_or_wavenumber_overflows(capsys, argv, message):
+    assert run_main(["airy", "--samples", "4", *argv], capsys) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.001"])
 def test_airy_rejects_bad_rmax(capsys, value):
     code, out, err = run_main(["airy", "--samples", "4", "--rmax", value], capsys)

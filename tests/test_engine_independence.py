@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fockpath import cli, fock
+from fockpath import cli, paths
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fockpath"
 ENGINES = ("paths", "operators")
@@ -43,26 +43,35 @@ def test_engine_imports_no_other_engine(engine):
 
 def test_operators_engine_keeps_no_slot_step_of_the_path_sum_engine():
     """Which slot a rerouted mode takes is the path-sum engine's own step,
-    ``fock._element_slots``; the operators engine composes its images over
-    modes instead, so a defect in that step shows as a disagreement."""
-    source = (PACKAGE / "operators.py").read_text(encoding="utf-8")
-    assert "_element_slots" not in imported_modules(source)
+    ``paths._element_slots``; the operators engine composes its images over
+    modes instead, so a defect in that step shows as a disagreement.  No
+    other module defines the step or imports it."""
+    holders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        defined = any(
+            isinstance(node, ast.FunctionDef) and node.name == "_element_slots"
+            for node in ast.walk(ast.parse(source))
+        )
+        if defined or "_element_slots" in imported_modules(source):
+            holders.append((path.stem, defined))
+    assert holders == [("paths", True)]
 
 
 def test_a_defect_in_the_slot_step_makes_the_engines_disagree(tmp_path, capsys, monkeypatch):
-    """A mutant of ``fock._element_slots`` that swaps a rerouting element's
-    output modes, put in every module that imports the step: the engines
-    must then disagree (exit 3) on one photon at an unbalanced splitter."""
-    real = fock._element_slots
+    """A mutant of ``paths._element_slots`` that swaps a rerouting element's
+    output modes: the engines must then disagree (exit 3) on one photon at
+    an unbalanced splitter, and the mutant must have run."""
+    real = paths._element_slots
+    swaps = []
 
     def swapped(state, t):
         if set(t.in_modes) != set(t.out_modes):
+            swaps.append(t)
             t = SimpleNamespace(in_modes=t.in_modes, out_modes=t.out_modes[::-1])
         return real(state, t)
 
-    for module in (fock, *map(importlib.import_module, (f"fockpath.{e}" for e in ENGINES))):
-        if hasattr(module, "_element_slots"):
-            monkeypatch.setattr(module, "_element_slots", swapped)
+    monkeypatch.setattr(paths, "_element_slots", swapped)
     f = tmp_path / "unbalanced.fpc"
     f.write_text(
         "port a\nport b\nport c\nport d\nsource a fock 1\n"
@@ -70,6 +79,7 @@ def test_a_defect_in_the_slot_step_makes_the_engines_disagree(tmp_path, capsys, 
     )
     assert cli.main(["run", str(f), "--engine", "both"]) == 3
     assert "disagree" in capsys.readouterr().err
+    assert swaps
 
 
 def test_import_scan_sees_every_import_form():

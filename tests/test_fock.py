@@ -32,11 +32,10 @@ from fockpath import paths
 from fockpath.fock import (
     MAX_COUNT,
     PRUNE_EPS,
+    _aligned,
     _counts,
-    _element_slots,
     _finished,
     _key,
-    _rekeyed,
     check_photon_budget,
 )
 
@@ -285,18 +284,6 @@ def test_photon_budget_never_exceeds_max_count():
         check_photon_budget(MAX_COUNT + 1, 8)
 
 
-def test_element_slots_keeps_the_terms_dict_for_fresh_input_modes():
-    # a new last slot is already empty in every key, so nothing is re-keyed
-    cx, dx = Mode("c", "x"), Mode("d", "x")
-    state = PhotonState({BasisState({AX: 1, BX: 2}): 0.6, BasisState({BX: 1}): 0.8})
-    in_place = make_rbs(0.6, 0.8j, in_modes=(cx, dx), out_modes=(cx, dx))
-    rerouting = make_rbs(0.6, 0.8j, in_modes=(BX, cx), out_modes=(dx, Mode("e", "x")))
-    for t, want_ins in ((in_place, (2, 3)), (rerouting, (1, 2))):
-        slots, terms, ins, _ = _element_slots(state, t)
-        assert terms is state._terms
-        assert ins == want_ins and len(slots) == 2 + len(set(t.in_modes) - {BX})
-
-
 def test_slot_order_never_shows():
     # an identity splitter's outputs take its inputs' slots, so the moved
     # state keys its terms over (b.x, a.x) where a direct build sorts them
@@ -381,20 +368,23 @@ def test_inner_product_matches_public_key_formula():
 
 
 def test_rekeyed_comparison_reads_what_basis_state_keys_read():
-    """Where one state's slot table holds every mode the other occupies,
-    ``_aligned`` moves the other's packed keys onto it instead of building
-    a BasisState per term; the difference and the overlap come out
-    identical to the BasisState route, and the fallback is still taken."""
+    """``_aligned`` keys both states over the first one's slot table followed
+    by the modes only the second has, instead of building a BasisState per
+    term; the difference and the overlap come out identical to the
+    BasisState route.  Pairs where neither table holds every mode the other
+    occupies, which once fell back to BasisState keys, are among them."""
     routes = Counter()
     for a, b in _random_state_pairs(12, 400):
         for x, y in ((a, b), (b, a)):
-            moved = _rekeyed(x, y._slots)
-            occupied = {m for bs in x.terms for m, _ in bs.items()}
-            assert (moved is None) == (not occupied <= set(y._slots))
-            if moved is not None:
-                assert PhotonState._trusted(y._slots, moved).terms == x.terms
+            tx, ty = _aligned(x, y)
+            assert tx is x._terms
+            table = x._slots + tuple(m for m in y._slots if m not in x._slots)
+            assert PhotonState._trusted(table, tx).terms == x.terms
+            assert PhotonState._trusted(table, ty).terms == y.terms
+            occupied = [{m for bs in s.terms for m, _ in bs.items()} for s in (x, y)]
+            covered = occupied[0] <= set(y._slots) or occupied[1] <= set(x._slots)
+            routes["packed" if covered else "basis"] += 1
             tx, ty = x.terms, y.terms
-            routes["basis" if moved is None and _rekeyed(y, x._slots) is None else "packed"] += 1
             assert max_amplitude_difference(x, y) == _public_key_difference(x, y)
             overlap = complex(sum(v.conjugate() * ty[k] for k, v in tx.items() if k in ty))
             assert inner_product(x, y) == overlap

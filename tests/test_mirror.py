@@ -179,6 +179,17 @@ def test_geometry_rejects_non_finite_lengths(name, bad):
         MirrorGeometry(**{**lengths, name: bad})
 
 
+@pytest.mark.parametrize(
+    "name, value, derived",
+    [("aperture_radius", 1e154, "pi * aperture_radius**2"), ("wavelength", 1e-320, "2 pi / wavelength")],
+)
+def test_geometry_rejects_lengths_whose_area_or_wavenumber_overflows(name, value, derived):
+    lengths = dict(focal_length=0.2, aperture_radius=0.01, wavelength=0.5e-6, z1=0.4, z2=0.4)
+    with pytest.raises(ValueError) as info:
+        MirrorGeometry(**{**lengths, name: value})
+    assert str(info.value) == f"{name} must keep {derived} finite, got {value!r}"
+
+
 def test_geometry_derived_quantities():
     g = desk_geometry()
     assert g.z2 == pytest.approx(0.4)

@@ -31,7 +31,7 @@ from fockpath import (
     trace_paths,
 )
 from fockpath import operators, paths
-from fockpath.fock import MAX_COUNT, _key
+from fockpath.fock import MAX_COUNT, _at, _key
 from fockpath.paths import apply_transform
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -429,6 +429,39 @@ def test_rerouting_into_fresh_and_emptied_slots_matches_reference(engine):
     assert set(result.state.terms) == set(expected)
     for bs, amp in expected.items():
         assert abs(result.state.amplitude(bs) - amp) < 1e-12
+
+
+def test_element_slots_keeps_the_state_keys_for_fresh_input_modes():
+    # a new last slot is already empty in every key, so the state's own keys
+    # hold the element's input counts at ``ins`` of the new table
+    ax, bx, cx, dx = (Mode(p, "x") for p in "abcd")
+    state = PhotonState({BasisState({ax: 1, bx: 2}): 0.6, BasisState({bx: 1}): 0.8})
+    in_place = make_rbs(0.6, 0.8j, in_modes=(cx, dx), out_modes=(cx, dx))
+    rerouting = make_rbs(0.6, 0.8j, in_modes=(bx, cx), out_modes=(dx, Mode("e", "x")))
+    for t, want_ins in ((in_place, (2, 3)), (rerouting, (1, 2))):
+        slots, ins, outs = paths._element_slots(state, t)
+        assert ins == want_ins and len(slots) == 2 + len(set(t.in_modes) - {bx})
+        assert slots[0] == ax and [slots[i] for i in outs] == list(t.out_modes)
+        for key, bs in zip(state._terms, state.terms):
+            assert _at(key, ins) == [bs.count(m) for m in t.in_modes]
+
+
+@pytest.mark.parametrize("engine, per_element", [("paths", 1), ("both", 1), ("operators", 0)])
+def test_circuit_runs_reach_the_path_sum_step_through_its_module(monkeypatch, engine, per_element):
+    # the path-sum engine's circuit walk looks up paths.apply_transform on
+    # each element, so a wrapper put there (the tracer's per-element spans)
+    # sees every bound element once
+    real, seen = paths.apply_transform, []
+
+    def counted(state, t):
+        seen.append(t)
+        return real(state, t)
+
+    monkeypatch.setattr(paths, "apply_transform", counted)
+    circuit = parse_circuit(REROUTING_TEXT)
+    run_circuit(circuit, engine=engine)
+    assert circuit.bound and len(seen) == per_element * len(circuit.bound)
+    assert all(a is b for a, (b, _) in zip(seen, circuit.bound))
 
 
 @settings(max_examples=60)
