@@ -388,16 +388,18 @@ def test_quadrature_flags_non_convergence():
 
 @pytest.mark.parametrize("source", [(0.0, 0.0), (1e-6, 0.0)])
 def test_quadrature_never_settles_on_nan(source):
-    # the geometry rejects infinite lengths, but a subnormal wavelength
-    # still overflows the wavenumber to inf and every phase factor to NaN
+    # a subnormal wavelength overflows the wavenumber to inf and every phase
+    # factor to NaN; the geometry now refuses one, so it is set past the
+    # constructor to reach the quadrature's own guard
     g = MirrorGeometry(
         focal_length=0.2,
         aperture_radius=0.01,
-        wavelength=5e-310,
+        wavelength=0.5e-6,
         z1=0.4,
         z2=0.4,
         source=source,
     )
+    object.__setattr__(g, "wavelength", 5e-310)
     with pytest.raises(ConvergenceError), np.errstate(invalid="ignore"):
         focal_amplitude_quadrature((0.0, 0.0), g)
 
