@@ -12,10 +12,11 @@ classic Airy pattern
 with A(0) = pi R^2 (the aperture area).  Keeping the next order in the path
 expansion adds the spherical-aberration phase 2 pi rho^4 / (32 lambda f^3).
 
-For an on-axis source every phase term, the aberration included, depends on
-the mirror point only through rho, so the angular integral is J0 in closed
-form and the quadrature is one radial integral, evaluated for all detector
-radii at once.  Only an off-axis source needs the 2-D polar quadrature.
+The source and the detector enter the phase through one term linear in the
+mirror point, and every other term, the aberration included, depends on it
+only through rho.  So for any source position the angular integral is J0 in
+closed form, and the quadrature is one radial integral in the detector's
+distance from the geometric image point, evaluated for all radii at once.
 
 Bessel J0 and J1 are evaluated in-house: an ascending power series up to
 |x| = 12 and the large-argument asymptotic (Hankel) expansion beyond, good
@@ -57,8 +58,8 @@ AIRY_FIRST_ZERO = 3.831705970207512
 _SERIES_CUTOFF = 12.0
 _SERIES_TERMS = 40
 _ASYMPTOTIC_TERMS = 12
-# Most points in one J0 argument array of the radial quadrature, which keeps
-# its peak memory at that of one 256 x 256 polar quadrature grid.
+# Most points in one J0 argument array of the radial quadrature, which bounds
+# its peak memory whatever the number of detector radii.
 _MAX_GRID_POINTS = 256 * 256
 
 
@@ -141,12 +142,17 @@ class MirrorGeometry:
         for name in ("focal_length", "aperture_radius", "wavelength", "z1", "z2"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be positive and finite")
-        # the quadrature scales by the aperture area and the wavenumber
-        r, lam = self.aperture_radius, self.wavelength
-        if not math.isfinite(math.pi * r * r):
-            raise ValueError(f"aperture_radius must keep pi * aperture_radius**2 finite, got {r!r}")
-        if not math.isfinite(2.0 * math.pi / lam):
-            raise ValueError(f"wavelength must keep 2 pi / wavelength finite, got {lam!r}")
+        # the quadrature scales by pi R^2 and 2 pi / lambda, and divides by 4 f, z1, z2
+        r = self.aperture_radius
+        for name, expr, value in (
+            ("aperture_radius", "pi * aperture_radius**2", math.pi * r * r),
+            ("wavelength", "2 pi / wavelength", 2.0 * math.pi / self.wavelength),
+            ("focal_length", "1 / (4 * focal_length)", self.alpha),
+            ("z1", "1 / z1", 1.0 / self.z1),
+            ("z2", "1 / z2", 1.0 / self.z2),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must keep {expr} finite, got {getattr(self, name)!r}")
 
     @classmethod
     def imaging(
@@ -305,10 +311,12 @@ def _radial_quadrature(
 ) -> np.ndarray:
     """Angular integral done analytically (J0), radial one by Gauss-Legendre.
 
-    Valid when the phase depends on the mirror point only through rho, as it
-    does for an on-axis source:
+    The source at s and the detector at p enter the phase only through
+    -k q . m, linear in the mirror point m, with q = s / z1 + p / z2; every
+    other term depends on m only through rho.  So for any source position
     integral = 2 pi int_0^R J0(k rho rho2 / z2) e^{i k (c rho^2 + a rho^4)} rho d rho
-    where c collects the residual quadratic (defocus) phase, which vanishes
+    where rho2 = z2 |q| is the detector's distance from the geometric image
+    point, c collects the residual quadratic (defocus) phase, which vanishes
     at the imaging condition and leaves the plain Airy integral, and a rho^4
     is the spherical-aberration term (zero unless include_aberration).
     Evaluated for every detector radius in rho2 at once.
@@ -332,14 +340,18 @@ def _radial_quadrature(
     return out
 
 
-def _settled(quadrature, n: int, geometry: MirrorGeometry) -> np.ndarray:
-    """``quadrature(2 * n)`` once each value agrees with ``quadrature(n)``;
-    ``quadrature(m)`` evaluates the amplitudes with m nodes.
+def _settled(
+    rho2, geometry: MirrorGeometry, include_aberration: bool, nodes: int | None = None
+) -> np.ndarray:
+    """Radial quadrature at every detector radius in rho2 with 2n nodes, once
+    each value agrees with the one from n nodes (n is 256 unless ``nodes``).
 
     Raises ConvergenceError for the first value whose change exceeds 1e-8
     of max(|fine|, pi R^2); NaN never counts as settled.
     """
-    coarse, fine = np.atleast_1d(quadrature(n)), np.atleast_1d(quadrature(2 * n))
+    n = 256 if nodes is None else nodes
+    coarse = _radial_quadrature(rho2, geometry, n, include_aberration)
+    fine = _radial_quadrature(rho2, geometry, 2 * n, include_aberration)
     delta = np.abs(fine - coarse)
     scale = np.maximum(np.abs(fine), math.pi * geometry.aperture_radius**2)
     unsettled = np.flatnonzero(~(delta <= 1e-8 * scale))
@@ -352,48 +364,6 @@ def _settled(quadrature, n: int, geometry: MirrorGeometry) -> np.ndarray:
     return fine
 
 
-def _on_axis(
-    rho2, geometry: MirrorGeometry, include_aberration: bool, nodes: int | None = None
-) -> np.ndarray:
-    """Settled radial quadrature at every detector radius in rho2."""
-    quadrature = lambda m: _radial_quadrature(rho2, geometry, m, include_aberration)
-    return _settled(quadrature, 256 if nodes is None else nodes, geometry)
-
-
-def _polar_quadrature(
-    point: tuple[float, float],
-    geometry: MirrorGeometry,
-    n: int,
-    include_aberration: bool,
-) -> complex:
-    """Full 2-D quadrature over the aperture in polar coordinates."""
-    nodes, weights = _gauss_nodes(n)
-    radius = geometry.aperture_radius
-    rho = 0.5 * radius * (nodes + 1.0)
-    wr = 0.5 * radius * weights
-    theta = math.pi * (nodes + 1.0)
-    wt = math.pi * weights
-    rr, tt = np.meshgrid(rho, theta, indexing="ij")
-    xm = rr * np.cos(tt)
-    ym = rr * np.sin(tt)
-    x1, y1 = geometry.source
-    x2, y2 = point
-    z1, z2 = geometry.z1, geometry.z2
-    # Constant and detector-only terms drop out of the intensity profile;
-    # keep only mirror-dependent phase so on-axis stays real positive.
-    phase = (
-        -(x1 / z1 + x2 / z2) * xm
-        - (y1 / z1 + y2 / z2) * ym
-        + (0.5 * (1.0 / z1 + 1.0 / z2) - 2.0 * geometry.alpha) * rr * rr
-    )
-    if include_aberration:
-        sag = geometry.alpha * rr * rr
-        phase = phase + 0.5 * (1.0 / z1 + 1.0 / z2) * sag * sag
-    k = 2.0 * math.pi / geometry.wavelength
-    integrand = np.exp(1j * k * phase) * rr
-    return complex(np.einsum("i,j,ij->", wr, wt, integrand))
-
-
 def focal_amplitude_quadrature(
     point: tuple[float, float],
     geometry: MirrorGeometry,
@@ -404,16 +374,16 @@ def focal_amplitude_quadrature(
     """Detection-plane amplitude by numerical sum over mirror points.
 
     Mirror-independent phase factors (the overall e^{2 pi i (z1+z2)/lambda}
-    and the detector-coordinate quadratic) are dropped, so an on-axis
-    unaberrated evaluation returns the real aperture area.  Convergence is
-    verified by doubling the node count; failure to settle below 1e-8
-    relative raises ConvergenceError.
+    and the source- and detector-coordinate quadratics) are dropped, so an
+    unaberrated evaluation at the geometric image point returns the real
+    aperture area.  Convergence is verified by doubling the node count;
+    failure to settle below 1e-8 relative raises ConvergenceError.
     """
-    if geometry.source == (0.0, 0.0):
-        rho2 = [math.hypot(*point)]
-        return complex(_on_axis(rho2, geometry, include_aberration, nodes)[0])
-    quadrature = lambda m: _polar_quadrature(point, geometry, m, include_aberration)
-    return complex(_settled(quadrature, 128 if nodes is None else nodes, geometry)[0])
+    x1, y1 = geometry.source
+    z1, z2 = geometry.z1, geometry.z2
+    # an on-axis source shifts by exact zeros
+    rho2 = math.hypot(point[0] + x1 * z2 / z1, point[1] + y1 * z2 / z1)
+    return complex(_settled([rho2], geometry, include_aberration, nodes)[0])
 
 
 def airy_profile(
@@ -437,7 +407,7 @@ def airy_profile(
     elif not 0 <= r_max < math.inf:  # also rejects NaN
         raise ValueError(f"r_max must be finite and non-negative, got {r_max!r}")
     radii = r_max * np.arange(n_samples) / (n_samples - 1)
-    amps = _on_axis(radii, geometry, include_aberration)
+    amps = _settled(radii, geometry, include_aberration)
     return [
         FieldSample(position=float(r), amplitude=complex(a)) for r, a in zip(radii, amps)
     ]

@@ -203,13 +203,11 @@ def _check_partial(out, left, image_cache, ins, width: int) -> None:
 
     Its terms of magnitude PRUNE_EPS or more can only be cancelled where
     the input terms still to come add to their keys.  ``left`` holds those
-    terms' bits at slots ``ins``: such a term reaches as many keys as its
-    cached image holds, or else at most as many as there are ways to place
-    its photons on the ``width`` output slots.
+    terms' bits at slots ``ins``, one at least: such a term reaches as many
+    keys as its cached image holds, or else at most as many as there are
+    ways to place its photons on the ``width`` output slots.
     """
     kept = sum(abs(a) >= PRUNE_EPS for a in out.values())
-    if kept <= fock.MAX_TERMS:
-        return
     reach: dict[int, int] = {0: 1}
     for fields in left:
         if fields not in reach:

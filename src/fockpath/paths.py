@@ -227,12 +227,14 @@ def evolve(state: PhotonState, bound) -> PhotonState:
     """Evolve a state through a circuit's ``(transform, line)`` pairs (its
     ``Circuit.bound``), one element at a time, each through this module's
     ``apply_transform`` as it is at that call.  An element's errors name its
-    line, and the state after each is held to ``fock.MAX_TERMS``; no element
-    changes a term's photon total, so the input state's budget still holds."""
+    line unless it is None, and the state after each is held to
+    ``fock.MAX_TERMS``; no element changes a term's photon total, so the
+    input state's budget still holds."""
     for transform, line in bound:
+        where = "" if line is None else f"line {line}: "
         try:
             state = apply_transform(state, transform)
         except FockPathError as exc:
-            raise type(exc)(f"line {line}: {exc}") from exc
-        _check_size(len(state), f"line {line}: the state")
+            raise type(exc)(f"{where}{exc}") from exc
+        _check_size(len(state), f"{where}the state")
     return state

@@ -190,6 +190,20 @@ def test_geometry_rejects_lengths_whose_area_or_wavenumber_overflows(name, value
     assert str(info.value) == f"{name} must keep {derived} finite, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "name, derived",
+    [("focal_length", "1 / (4 * focal_length)"), ("z1", "1 / z1"), ("z2", "1 / z2")],
+    ids=["focal_length", "z1", "z2"],
+)
+def test_geometry_rejects_lengths_whose_reciprocal_overflows(name, derived):
+    # a subnormal length is positive and finite, but the quadrature's phase
+    # divides by it and would turn NaN
+    lengths = dict(focal_length=0.2, aperture_radius=0.01, wavelength=0.5e-6, z1=0.4, z2=0.4)
+    with pytest.raises(ValueError) as info:
+        MirrorGeometry(**{**lengths, name: 5e-310})
+    assert str(info.value) == f"{name} must keep {derived} finite, got 5e-310"
+
+
 def test_geometry_derived_quantities():
     g = desk_geometry()
     assert g.z2 == pytest.approx(0.4)
@@ -424,6 +438,8 @@ def test_defocus_suppresses_on_axis_amplitude():
 
 
 def test_off_axis_source_peaks_at_geometric_image():
+    # at the image plane the pattern is the Airy profile about the geometric
+    # image point, out to the last point, more than 20 dark rings away
     source = (8e-6, -6e-6)
     g = MirrorGeometry(
         focal_length=0.2,
@@ -435,15 +451,14 @@ def test_off_axis_source_peaks_at_geometric_image():
     )
     area = math.pi * g.aperture_radius**2
     image = geometric_image_point(source, g.z1, g.focal_length)
-    peak = focal_amplitude_quadrature(image, g)
-    assert abs(peak) == pytest.approx(area, rel=1e-8)
-
-    # away from the image point the pattern is the shifted Airy profile
-    shift = math.hypot(image[0], image[1])
-    u = 2.0 * math.pi * g.aperture_radius * shift / (g.wavelength * g.z2)
-    want = 2.0 * area * abs(bessel_j1(u)) / u
-    off = focal_amplitude_quadrature((0.0, 0.0), g)
-    assert abs(off) == pytest.approx(want, rel=1e-6)
+    r0 = airy_first_zero_radius(g)
+    points = [image, (0.0, 0.0), (image[0] + 1.3 * r0, image[1] - 0.4 * r0)]
+    points.append((image[0] - 16.0 * r0, image[1] + 17.0 * r0))  # 23.3 dark rings
+    for point in points:
+        got = focal_amplitude_quadrature(point, g)
+        shift = math.hypot(point[0] - image[0], point[1] - image[1])
+        assert abs(got - airy_amplitude_closed(shift, g)) < 1e-12 * area, point
+    assert abs(focal_amplitude_quadrature(image, g)) == pytest.approx(area, rel=1e-12)
 
 
 def test_aberration_reduces_on_axis_peak_slightly():
@@ -454,25 +469,82 @@ def test_aberration_reduces_on_axis_peak_slightly():
     assert 0.001 < deficit < 0.02
 
 
-def test_on_axis_aberration_matches_polar_quadrature():
-    g = desk_geometry()
+def polar_grid_sum(point, g, aberration, n_rho=128, n_theta=96):
+    """The sum over mirror points written out on a 2-D grid: Gauss-Legendre
+    in the mirror radius, trapezoid (exact for periodic integrands) in the
+    angle, over every mirror-dependent term of the paraxial path, with the
+    rho^4 sag term only if ``aberration``."""
+    x, w = np.polynomial.legendre.leggauss(n_rho)
+    rho = 0.5 * g.aperture_radius * (x + 1.0)
+    w_rho = 0.5 * g.aperture_radius * w
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    r, t = np.meshgrid(rho, theta, indexing="ij")
+    (x1, y1), (x2, y2) = g.source, point
+    sag = r * r / (4.0 * g.focal_length)
+    mean_inv_z = 0.5 * (1.0 / g.z1 + 1.0 / g.z2)
+    path = (
+        -(x1 / g.z1 + x2 / g.z2) * r * np.cos(t)
+        - (y1 / g.z1 + y2 / g.z2) * r * np.sin(t)
+        + mean_inv_z * r * r
+        - 2.0 * sag
+    )
+    if aberration:
+        path = path + mean_inv_z * sag * sag
+    k = 2.0 * math.pi / g.wavelength
+    angular = np.exp(1j * k * path).sum(axis=1) * (2.0 * math.pi / n_theta)
+    return complex(np.sum(w_rho * rho * angular))
+
+
+@pytest.mark.parametrize("source", [(0.0, 0.0), (8e-6, -6e-6), (-2.1e-5, 1.3e-5)])
+@pytest.mark.parametrize("defocus", [1.0, 1.001])
+@pytest.mark.parametrize("aberration", [False, True])
+def test_quadrature_matches_a_polar_grid_sum(source, defocus, aberration):
+    focused = desk_geometry()
+    g = MirrorGeometry(
+        focal_length=focused.focal_length,
+        aperture_radius=focused.aperture_radius,
+        wavelength=focused.wavelength,
+        z1=focused.z1,
+        z2=focused.z2 * defocus,
+        source=source,
+    )
     area = math.pi * g.aperture_radius**2
     r0 = airy_first_zero_radius(g)
-    for frac in np.linspace(0.0, 3.0, 25):
-        got = focal_amplitude_quadrature((frac * r0, 0.0), g, include_aberration=True)
-        want = mirror._polar_quadrature((frac * r0, 0.0), g, 256, True)
-        assert abs(got - want) < 1e-12 * area, frac
+    cx, cy = geometric_image_point(source, g.z1, g.focal_length)
+    for frac, angle in zip(np.linspace(0.0, 3.0, 7), np.linspace(0.3, 5.9, 7)):
+        point = (cx + frac * r0 * math.cos(angle), cy + frac * r0 * math.sin(angle))
+        got = focal_amplitude_quadrature(point, g, include_aberration=aberration)
+        want = polar_grid_sum(point, g, aberration)
+        assert abs(got - want) < 1e-12 * area, point
 
 
-def test_polar_quadrature_only_for_off_axis_sources(monkeypatch):
-    def polar(*args, **kwargs):
-        raise AssertionError("polar quadrature used for an on-axis source")
+def test_every_focal_amplitude_reaches_bessel_j0(monkeypatch):
+    # one quadrature serves every source position: the angle integrates to J0
+    calls = []
+    real = mirror.bessel_j0
 
-    monkeypatch.setattr(mirror, "_polar_quadrature", polar)
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(mirror, "bessel_j0", counting)
     g = desk_geometry()
+    off_axis = MirrorGeometry(
+        focal_length=0.2,
+        aperture_radius=0.01,
+        wavelength=0.5e-6,
+        z1=0.4,
+        z2=0.4,
+        source=(8e-6, -6e-6),
+    )
     for aberration in (False, True):
-        focal_amplitude_quadrature((1e-6, 2e-6), g, include_aberration=aberration)
+        for geometry in (g, off_axis):
+            calls.clear()
+            focal_amplitude_quadrature((1e-6, 2e-6), geometry, include_aberration=aberration)
+            assert calls, (geometry.source, aberration)
+        calls.clear()
         airy_profile(g, n_samples=3, include_aberration=aberration)
+        assert calls, aberration
 
 
 # --- profile -------------------------------------------------------------------

@@ -30,7 +30,7 @@ from fockpath import (
     scatter_two_mode,
     trace_paths,
 )
-from fockpath import operators, paths
+from fockpath import fock, operators, paths
 from fockpath.fock import MAX_COUNT, _at, _key
 from fockpath.paths import apply_transform
 
@@ -284,6 +284,20 @@ def test_apply_transform_rejects_occupied_output_modes(engine):
     )
     with pytest.raises(ModeMismatchError, match="3.x is already occupied"):
         engine.apply_transform(s, t)
+
+
+@BOTH_ENGINES
+def test_evolve_names_no_line_that_is_none(engine, monkeypatch):
+    t = make_split50_rbs()  # outputs on ports 3 and 4
+    occupied = PhotonState({BasisState({Mode("1", "x"): 1, Mode("3", "x"): 1}): 1.0})
+    with pytest.raises(ModeMismatchError) as info:
+        engine.evolve(occupied, [(t, None)])
+    assert str(info.value) == "output mode 3.x is already occupied"
+    monkeypatch.setattr(fock, "MAX_TERMS", 1)
+    one = PhotonState({BasisState({Mode("1", "x"): 1}): 1.0})
+    with pytest.raises(PhotonBudgetError) as info:
+        engine.evolve(one, [(t, None)])
+    assert str(info.value) == "the state has 2 terms, more than the maximum of 1"
 
 
 @BOTH_ENGINES
