@@ -205,13 +205,17 @@ def _cmd_trace(args) -> int:
 # airy
 
 
+def _require_length(flag: str, value: float) -> None:
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+
+
 def _conjugate_distance(flag: str, given: float, focal: float) -> float:
     """The distance conjugate to ``given``, the plane that ``flag`` sets:
     1/z1 + 1/z2 = 1/f is symmetric, so one solver gives either.  Errors
     name ``flag``; a plane at or inside the focal length has no real
     conjugate."""
-    if not 0 < given < math.inf:  # also rejects NaN
-        raise ValueError(f"{flag} must be positive and finite, got {given!r}")
+    _require_length(flag, given)
     other = image_distance(given, focal, plane=f"the {flag} plane")
     if other < 0:
         raise ValueError(
@@ -224,6 +228,7 @@ def _conjugate_distance(flag: str, given: float, focal: float) -> float:
 def _cmd_airy(args) -> int:
     if args.z1 is not None and args.z2 is not None:
         raise ValueError("give at most one of --z1 and --z2")
+    _require_length("--focal", args.focal)
     if args.z2 is not None:
         z2 = args.z2
         z1 = _conjugate_distance("--z2", z2, args.focal)

@@ -20,7 +20,8 @@ distance from the geometric image point, evaluated for all radii at once.
 
 Bessel J0 and J1 are evaluated in-house: an ascending power series up to
 |x| = 12 and the large-argument asymptotic (Hankel) expansion beyond, good
-to about 1e-10 absolute over the real line.
+to about 1e-10 absolute over the real line.  Arrays are summed in place, never
+in the argument's buffer, by a float's operations in its order, so bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ __all__ = [
 AIRY_FIRST_ZERO = 3.831705970207512
 
 _SERIES_CUTOFF = 12.0
+# Fixed, whatever |x| is: stopping early changes low bits, and the profile path
+# would drop the series for J0 moments of its radial factor (ROADMAP) anyway.
 _SERIES_TERMS = 40
 _ASYMPTOTIC_TERMS = 12
 # Most points in one J0 argument array of the radial quadrature, which bounds
@@ -65,12 +68,20 @@ _MAX_GRID_POINTS = 256 * 256
 
 def _bessel_series(x, nu: int):
     """Ascending series sum_m (-1)^m (x/2)^{2m+nu} / (m! (m+nu)!), of a
-    float or elementwise of an array."""
+    float, or of an array in place (never in x) by the float loop's
+    operations in its order, so the two agree bit for bit."""
     q = 0.25 * x * x
     term = 0.0 * x + 1.0 if nu == 0 else 0.5 * x
     total = term * 1.0  # a copy, which += then updates in place
+    if isinstance(x, float):
+        for m in range(1, _SERIES_TERMS):
+            term = term * (-q) / (m * (m + nu))
+            total += term
+        return total
+    negq = np.negative(q, out=q)
     for m in range(1, _SERIES_TERMS):
-        term = term * (-q) / (m * (m + nu))
+        term *= negq
+        term /= m * (m + nu)
         total += term
     return total
 
@@ -105,11 +116,12 @@ def _bessel(x, nu: int):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
     small = np.abs(arr) <= _SERIES_CUTOFF
-    if small.any():
+    if small.all():  # every quadrature grid: no gather or scatter
+        out = _bessel_series(arr, nu)
+    else:
+        out = np.empty_like(arr)
         out[small] = _bessel_series(arr[small], nu)
-    if (~small).any():
         big = arr[~small]  # NaN included: it stays NaN
         with np.errstate(invalid="ignore"):  # cos(inf); J0 and J1 tend to 0 there
             val = np.where(np.isinf(big), 0.0, _bessel_asymptotic(np.abs(big), nu, np))
@@ -144,6 +156,9 @@ class MirrorGeometry:
                 raise ValueError(f"{name} must be positive and finite")
         # the quadrature scales by pi R^2 and 2 pi / lambda, and divides by 4 f, z1, z2
         r = self.aperture_radius
+        if math.pi * r * r == 0:  # every amplitude would be 0
+            msg = f"aperture_radius must keep pi * aperture_radius**2 above zero, got {r!r}"
+            raise ValueError(msg)
         for name, expr, value in (
             ("aperture_radius", "pi * aperture_radius**2", math.pi * r * r),
             ("wavelength", "2 pi / wavelength", 2.0 * math.pi / self.wavelength),

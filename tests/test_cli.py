@@ -707,6 +707,21 @@ def test_airy_rejects_a_geometry_whose_area_or_wavenumber_overflows(capsys, argv
     assert run_main(["airy", "--samples", "4", *argv], capsys) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+def test_airy_rejects_a_focal_length_that_is_not_positive_and_finite(capsys, value):
+    # checked before any plane is solved, so the message names the flag
+    message = f"error: --focal must be positive and finite, got {float(value)!r}\n"
+    assert run_main(["airy", "--samples", "4", f"--focal={value}"], capsys) == (1, "", message)
+
+
+@pytest.mark.parametrize("extra", [[], ["--normalize"]], ids=["plain", "normalize"])
+def test_airy_rejects_an_aperture_whose_area_underflows(capsys, extra):
+    # pi R^2 == 0 once printed an all-zero profile, or divided by zero to normalize
+    argv = ["airy", "--samples", "3", "--aperture", "1e-170", *extra]
+    message = "error: aperture_radius must keep pi * aperture_radius**2 above zero, got 1e-170\n"
+    assert run_main(argv, capsys) == (1, "", message)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.001"])
 def test_airy_rejects_bad_rmax(capsys, value):
     code, out, err = run_main(["airy", "--samples", "4", "--rmax", value], capsys)

@@ -123,11 +123,30 @@ def test_bessel_scalar_matches_array_path_bit_for_bit():
     rng = random.Random(12)
     xs = [rng.uniform(-40.0, 40.0) for _ in range(2000)]
     xs += [0.0, -0.0, 12.0, -12.0, 12.0 + 1e-6, 12.0 - 1e-6, -12.0 - 1e-6, 1e6, -1e6, 7, -13]
+    # a grid wholly inside the series range is summed unmasked, in place
+    grid = np.random.default_rng(12).uniform(-12.0, 12.0, (40, 50))
+    grid[0, :4] = (0.0, -0.0, 12.0, -12.0)
     for fn in (bessel_j0, bessel_j1):
         for x, want in zip(xs, fn(np.array(xs, dtype=float))):
             got = fn(x)
             assert type(got) is float
             assert got.hex() == float(want).hex(), (fn.__name__, x)
+        vals = fn(grid)
+        assert vals.shape == grid.shape
+        assert [float(v).hex() for v in vals.flat] == [fn(x).hex() for x in grid.flat]
+        empty = fn(np.empty((0, 3)))
+        assert (empty.shape, empty.dtype) == ((0, 3), np.float64)
+
+
+def test_bessel_leaves_its_argument_unchanged():
+    series = np.random.default_rng(5).uniform(-12.0, 12.0, (30, 40))
+    mixed = np.concatenate([series[0], [math.nan, math.inf, -math.inf, 13.0, -40.0, 1e6]])
+    for fn in (bessel_j0, bessel_j1):
+        for x in (series, mixed):
+            before = x.tobytes()
+            vals = fn(x)
+            assert x.tobytes() == before, fn.__name__
+            assert [float(v).hex() for v in vals.flat] == [fn(v).hex() for v in x.ravel().tolist()]
 
 
 def test_bessel_returns_nan_for_nan():
@@ -188,6 +207,14 @@ def test_geometry_rejects_lengths_whose_area_or_wavenumber_overflows(name, value
     with pytest.raises(ValueError) as info:
         MirrorGeometry(**{**lengths, name: value})
     assert str(info.value) == f"{name} must keep {derived} finite, got {value!r}"
+
+
+def test_geometry_rejects_an_aperture_whose_area_underflows():
+    lengths = dict(focal_length=0.2, wavelength=0.5e-6, z1=0.4, z2=0.4)
+    with pytest.raises(ValueError) as info:
+        MirrorGeometry(aperture_radius=1e-170, **lengths)
+    want = "aperture_radius must keep pi * aperture_radius**2 above zero, got 1e-170"
+    assert str(info.value) == want
 
 
 @pytest.mark.parametrize(
@@ -545,6 +572,23 @@ def test_every_focal_amplitude_reaches_bessel_j0(monkeypatch):
         calls.clear()
         airy_profile(g, n_samples=3, include_aberration=aberration)
         assert calls, aberration
+
+
+@pytest.mark.parametrize("aberration", [False, True])
+def test_profile_matches_a_scalar_bessel_bit_for_bit(monkeypatch, aberration):
+    # each profile sums about 5,400 J0 values: the array path against the floats
+    def hexed(samples):
+        return [(s.amplitude.real.hex(), s.amplitude.imag.hex()) for s in samples]
+
+    g = desk_geometry()
+    want = hexed(airy_profile(g, 7, include_aberration=aberration))
+    real = mirror.bessel_j0
+
+    def one_at_a_time(x):
+        return np.array([real(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+    monkeypatch.setattr(mirror, "bessel_j0", one_at_a_time)
+    assert hexed(airy_profile(g, 7, include_aberration=aberration)) == want
 
 
 # --- profile -------------------------------------------------------------------
