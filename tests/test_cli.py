@@ -716,7 +716,7 @@ def test_airy_rejects_a_focal_length_that_is_not_positive_and_finite(capsys, val
 
 @pytest.mark.parametrize("extra", [[], ["--normalize"]], ids=["plain", "normalize"])
 def test_airy_rejects_an_aperture_whose_area_underflows(capsys, extra):
-    # pi R^2 == 0 once printed an all-zero profile, or divided by zero to normalize
+    # a zero pi R^2 makes every amplitude 0, which --normalize would divide by
     argv = ["airy", "--samples", "3", "--aperture", "1e-170", *extra]
     message = "error: aperture_radius must keep pi * aperture_radius**2 above zero, got 1e-170\n"
     assert run_main(argv, capsys) == (1, "", message)
