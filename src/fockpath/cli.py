@@ -214,10 +214,10 @@ def _conjugate_distance(flag: str, given: float, focal: float) -> float:
     """The distance conjugate to ``given``, the plane that ``flag`` sets:
     1/z1 + 1/z2 = 1/f is symmetric, so one solver gives either.  Errors
     name ``flag``; a plane at or inside the focal length has no real
-    conjugate."""
+    conjugate, and nor has one so close that 1 / ``given`` overflows."""
     _require_length(flag, given)
     other = image_distance(given, focal, plane=f"the {flag} plane")
-    if other < 0:
+    if not other > 0:  # -0.0 when 1 / given overflows
         raise ValueError(
             f"the {flag} plane at {given:g} m is inside the focal length "
             f"{focal:g} m, so it has no real conjugate plane"
@@ -229,6 +229,9 @@ def _cmd_airy(args) -> int:
     if args.z1 is not None and args.z2 is not None:
         raise ValueError("give at most one of --z1 and --z2")
     _require_length("--focal", args.focal)
+    # every plane is solved through 1 / focal; the default source plane is 2 * focal
+    if not (1.0 / args.focal < math.inf and 2.0 * args.focal < math.inf):
+        raise ValueError(f"--focal must keep 1 / focal and 2 * focal finite, got {args.focal!r}")
     if args.z2 is not None:
         z2 = args.z2
         z1 = _conjugate_distance("--z2", z2, args.focal)

@@ -5,12 +5,14 @@ superpositions of Fock basis states with complex amplitudes.  A state keeps a
 slot table, a tuple of modes, and keys each amplitude by one int, slot i's
 photon count in bits 8i..8i+7; only the key helpers (:func:`_key` and the
 four after it) know that layout.  The evolution engines read and write
-these keys directly, each over slot tables of its own; two states over
-different tables compare by re-keying the second onto the first's table
-followed by the modes only the second has.  :class:`BasisState`, the public
-key type, is built only where terms leave a state (``terms``, iteration,
-``sorted_terms``, JSON), so neither the slot order nor the order of
-construction ever shows.
+these keys directly, each by its own code, under one rule: a table only
+grows, each element appending the modes it names that have no slot yet,
+inputs before outputs, so both engines end one circuit on one table.
+Other states over different tables compare by re-keying the second onto
+the first's table followed by the modes only the second has.
+:class:`BasisState`, the public key type, is built only where terms leave
+a state (``terms``, iteration, ``sorted_terms``, JSON), so neither the
+slot order nor the order of construction ever shows.
 """
 
 from __future__ import annotations
@@ -402,11 +404,9 @@ def _rescaled(state: PhotonState, n2: float) -> PhotonState:
     return out
 
 
-def _finished(
-    slots: Slots, terms: dict, ports: Iterable[str], modes: Iterable[Mode] = (), *, normalized=True
-) -> PhotonState:
+def _finished(slots: Slots, terms: dict, ports: Iterable[str], *, normalized=True) -> PhotonState:
     """An engine's last step: the state of the amplitudes ``terms`` over
-    ``slots``, whose ports are ``ports`` plus those of ``modes``.
+    ``slots``, whose ports are ``ports`` plus those of ``slots``.
 
     The magnitudes are taken once.  Amplitudes below PRUNE_EPS are dropped,
     and the squared norm is the fsum of the kept |a|^2; a non-finite
@@ -431,7 +431,7 @@ def _finished(
     if abs(n2 - 1.0) > 1e-9:
         warnings.warn(f"squared norm {n2:.12g} differs from 1", RuntimeWarning, stacklevel=3)
     state = PhotonState._trusted(slots, terms)
-    state._ports = frozenset(ports).union(m.port for m in modes)
+    state._ports = frozenset(ports).union(m.port for m in slots)
     # Skipping a rescale by exactly 1.0 is bit-identical: a * 1.0 == a, sign
     # of zero included, for every finite complex a without a -0.0 component.
     # Engine terms have none, since every engine sum starts from 0j and
@@ -443,8 +443,9 @@ def _finished(
 
 
 def _rekeyed(state: PhotonState, slots: Slots) -> dict:
-    """The terms of ``state`` keyed over the slot table ``slots``, which
-    holds every mode of ``state``'s own table."""
+    """The terms of ``state`` keyed over the slot table ``slots``.  A mode
+    of ``state``'s own table that ``slots`` lacks must be empty in every
+    key; a mode that only ``slots`` has is empty in every new key."""
     size = len(state._slots)
     index = {m: i for i, m in enumerate(state._slots)}
     # byte j of a new key is byte source[j] of the old key written with one
@@ -527,21 +528,17 @@ def max_amplitude_difference(a: PhotonState, b: PhotonState) -> float:
 
 
 def tensor_product(*states: PhotonState) -> PhotonState:
-    """Combine states living on disjoint mode sets into one."""
+    """Combine states living on disjoint mode sets into one: its slots are
+    each factor's occupied ones, its ports every factor's ports."""
     slots: Slots = ()
     terms = {0: 1.0 + 0j}
     for st in states:
-        keep = _occupied(st._terms, len(st._slots))
-        occupied = tuple(st._slots[i] for i in keep)
+        occupied = tuple(st._slots[i] for i in _occupied(st._terms, len(st._slots)))
         overlap = sorted(m.label() for m in set(slots) & set(occupied))
         if overlap:
             raise ValueError(f"tensor product requires disjoint modes, got {overlap}")
-        part = st._terms
-        if len(keep) < len(st._slots):  # drop the slots no term occupies
-            part = {_key(_at(k, keep)): amp for k, amp in part.items()}
-        shift = _unit(len(slots))  # the part's slots follow those placed so far
         slots += occupied
-        part = {k * shift: amp for k, amp in part.items()}
+        part = _rekeyed(st, slots)  # empty at the slots placed so far
         terms = {k + k2: amp * amp2 for k, amp in terms.items() for k2, amp2 in part.items()}
     ports = frozenset().union(*(st.ports for st in states))
     return PhotonState._from_slots(slots, terms, ports)

@@ -362,11 +362,16 @@ def _settled(
     each value agrees with the one from n nodes (n is 256 unless ``nodes``).
 
     Raises ConvergenceError for the first value whose change exceeds 1e-8
-    of max(|fine|, pi R^2); NaN never counts as settled.
+    of max(|fine|, pi R^2); NaN never counts as settled.  A phase or a J0
+    argument that overflows raises ValueError.
     """
     n = 256 if nodes is None else nodes
-    coarse = _radial_quadrature(rho2, geometry, n, include_aberration)
-    fine = _radial_quadrature(rho2, geometry, 2 * n, include_aberration)
+    try:
+        with np.errstate(over="raise"):
+            coarse = _radial_quadrature(rho2, geometry, n, include_aberration)
+            fine = _radial_quadrature(rho2, geometry, 2 * n, include_aberration)
+    except FloatingPointError as exc:
+        raise ValueError(f"the quadrature's phase or J0 argument overflows ({exc})") from exc
     delta = np.abs(fine - coarse)
     scale = np.maximum(np.abs(fine), math.pi * geometry.aperture_radius**2)
     unsettled = np.flatnonzero(~(delta <= 1e-8 * scale))
@@ -411,16 +416,21 @@ def airy_profile(
     """Radial cut of the detection-plane amplitude for an on-axis source.
 
     Samples run from the axis out to r_max (default: three times the first
-    dark-ring radius), evenly spaced; r_max must be finite and non-negative.
+    dark-ring radius), evenly spaced; r_max must be finite and non-negative,
+    and so must r_max * (n_samples - 1) and 2 pi / wavelength * r_max.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if geometry.source != (0.0, 0.0):
         raise ValueError("a radial profile needs an on-axis source")
+    what = "r_max"
     if r_max is None:
-        r_max = 3.0 * airy_first_zero_radius(geometry)
+        r_max, what = 3.0 * airy_first_zero_radius(geometry), "the default r_max (--rmax sets it)"
     elif not 0 <= r_max < math.inf:  # also rejects NaN
         raise ValueError(f"r_max must be finite and non-negative, got {r_max!r}")
+    if not max(r_max * (n_samples - 1), 2.0 * math.pi / geometry.wavelength * r_max) < math.inf:
+        spans = "r_max * (n_samples - 1) and 2 pi / wavelength * r_max"
+        raise ValueError(f"{what} must keep {spans} finite, got {r_max!r}")
     radii = r_max * np.arange(n_samples) / (n_samples - 1)
     amps = _settled(radii, geometry, include_aberration)
     return [

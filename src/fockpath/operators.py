@@ -111,12 +111,11 @@ def polynomial_to_state(
     By default the result is normalized; a pre-normalization squared norm
     off from one by more than 1e-9 signals an unnormalized input and is
     reported as a RuntimeWarning.  The ports of the result are ``ports``
-    plus every port a monomial mentions.
+    plus every slot's port, whether a monomial occupies the slot or not.
     """
     slots = poly._slots
     terms = {k: c * _root(_counts(k, len(slots))) for k, c in poly._terms.items()}
-    occupied = [slots[i] for i in _occupied(terms, len(slots))]
-    return _finished(slots, terms, ports, occupied, normalized=normalized)
+    return _finished(slots, terms, ports, normalized=normalized)
 
 
 def _product(p: Mapping[int, complex], q: Mapping[int, complex]) -> dict[int, complex]:
@@ -242,15 +241,15 @@ def _composed(slots: Slots, terms, bound) -> tuple[int, Slots, tuple, tuple, lis
     Returns ``(done, table, ins, outs, matrix)`` for :func:`_substitute`:
     ``done`` elements were composed; the operators that moved sit at slots
     ``ins`` and the modes they reach at slots ``outs`` of ``table``, which
-    is ``slots`` plus a last slot for each such mode that had none;
-    ``matrix[i][j]`` is the coefficient of ``outs[i]`` in the image of
-    ``ins[j]``.
+    is ``slots`` followed by each mode those elements name that has none,
+    inputs before outputs, in circuit order; ``matrix[i][j]`` is the
+    coefficient of ``outs[i]`` in the image of ``ins[j]``.
     """
     sources = _occupied(terms, len(slots))
     n = len(sources)
     rows = {slots[s]: [complex(j == k) for k in range(n)] for j, s in enumerate(sources)}
     moved: set[int] = set()
-    done = 0
+    done, table = 0, dict.fromkeys(slots)  # an ordered set: update keeps each mode's place
     for t, line in bound:
         filled = [m for m in t.out_modes if m in rows and m not in t.in_modes]
         if filled and done:
@@ -259,6 +258,7 @@ def _composed(slots: Slots, terms, bound) -> tuple[int, Slots, tuple, tuple, lis
             where = "" if line is None else f"line {line}: "
             raise ModeMismatchError(f"{where}output mode {filled[0].label()} is already occupied")
         done += 1
+        table.update(dict.fromkeys(t.in_modes + t.out_modes))
         taken = [(j, rows.pop(m)) for j, m in enumerate(t.in_modes) if m in rows]
         if not taken:  # no image reaches this element
             continue
@@ -270,7 +270,7 @@ def _composed(slots: Slots, terms, bound) -> tuple[int, Slots, tuple, tuple, lis
                 rows[m] = row
     keep = sorted(moved)
     reached = [m for m, row in rows.items() if any(row[k] for k in keep)]
-    table = slots + tuple(m for m in reached if m not in slots)
+    table = tuple(table)
     ins = tuple(sources[k] for k in keep)
     outs = tuple(map(table.index, reached))
     return done, table, ins, outs, [[rows[m][k] for k in keep] for m in reached]
@@ -313,8 +313,7 @@ def evolve(state: PhotonState, bound) -> PhotonState:
         line = bound[done - 1][1]
         try:
             new = _substitute(state._terms, ins, outs, matrix, _amplitude_image)
-            modes = [m for t, _ in bound[:done] for m in t.in_modes + t.out_modes]
-            state = _finished(table, new, state.ports, modes)
+            state = _finished(table, new, state.ports)
             _check_size(len(state), "the state")
         except FockPathError as exc:
             if line is None:

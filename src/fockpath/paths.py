@@ -161,8 +161,8 @@ def _moves(fields: int, ins, units, matrix) -> list[tuple[int, complex]]:
     ``fields`` holds in the slots ``ins``: a key moves to key + delta.
     ``units`` are the keys of one photon in each output slot."""
     counts = _at(fields, ins)
-    if len(counts) == 1:  # a one-mode element keeps its photons in place
-        return [(0, matrix[0][0] ** counts[0])]
+    if len(counts) == 1:  # a one-mode element keeps its photon count
+        return [(counts[0] * units[0] - fields, matrix[0][0] ** counts[0])]
     u1, u2 = units
     scattered = scatter_two_mode(*counts, matrix, max_photons=None)
     return [(ma * u1 + mb * u2 - fields, a) for (ma, mb), a in scattered.items()]
@@ -171,30 +171,20 @@ def _moves(fields: int, ins, units, matrix) -> list[tuple[int, complex]]:
 def _element_slots(state: PhotonState, t: ModeTransform) -> tuple[tuple, tuple, tuple]:
     """The first step through the element ``t``: the slot table after it.
 
-    Returns ``(table, ins, outs)``.  An input mode missing from the state's
-    slots gets a new last slot, empty in every key, so the state's keys stay
-    valid.  ``t`` reads ``t.in_modes[k]`` at slot ``ins[k]`` of those keys
-    and writes ``t.out_modes[k]`` at slot ``outs[k]`` of keys over
-    ``table``.  The output modes of a rerouting element (disjoint from its
-    inputs) take over its input modes' slots, so ``outs == ins``.  An output
-    mode that already has a slot must be empty in every key, or
-    ModeMismatchError is raised; its slot passes to the input mode it
-    replaces, which is now empty.
+    Returns ``(table, ins, outs)``: ``t`` reads ``t.in_modes[k]`` at slot
+    ``ins[k]`` of the state's keys and writes ``t.out_modes[k]`` at slot
+    ``outs[k]``.  The table only grows: the state's slots, then each input
+    and each output mode of ``t`` that has none, empty in every key, so the
+    state's keys stay valid.  An output mode that is no input and already
+    had a slot must be empty in every key, or ModeMismatchError is raised.
     """
     slots, in_modes, out_modes = state._slots, t.in_modes, t.out_modes
-    slots += tuple(m for m in in_modes if m not in slots)
-    ins = tuple(map(slots.index, in_modes))
-    if set(in_modes) == set(out_modes):
-        return slots, ins, tuple(map(slots.index, out_modes))
-    table = list(slots)
-    for m_in, m_out, i in zip(in_modes, out_modes, ins):
-        if m_out in slots:
-            j = slots.index(m_out)
-            if j in _occupied(state._terms, len(slots)):
-                raise ModeMismatchError(f"output mode {m_out.label()} is already occupied")
-            table[j] = m_in
-        table[i] = m_out
-    return tuple(table), ins, ins
+    table = tuple(dict.fromkeys(slots + in_modes + out_modes))  # first places kept
+    ins, outs = tuple(map(table.index, in_modes)), tuple(map(table.index, out_modes))
+    for m, j in zip(out_modes, outs):
+        if j < len(slots) and m not in in_modes and j in _occupied(state._terms, len(slots)):
+            raise ModeMismatchError(f"output mode {m.label()} is already occupied")
+    return table, ins, outs
 
 
 def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
@@ -220,7 +210,7 @@ def apply_transform(state: PhotonState, t: ModeTransform) -> PhotonState:
         for delta, s_amp in moves:
             nk = key + delta
             new[nk] = new.get(nk, 0j) + amp * s_amp
-    return _finished(slots, new, state.ports, t.in_modes + t.out_modes)
+    return _finished(slots, new, state.ports)
 
 
 def evolve(state: PhotonState, bound) -> PhotonState:

@@ -688,6 +688,14 @@ def test_airy_aberration_lowers_peak(capsys):
         (["--z2", "0.1"], "--z2", "inside the focal length"),
         (["--z1", "0.1"], "--z1", "inside the focal length"),
         (["--z2", "nan"], "--z2", "positive and finite"),
+        # 1 / z overflows, so the conjugate of a subnormal plane is -0.0
+        (["--z1", "1e-320"], "--z1", "inside the focal length"),
+        (["--z1", "5e-324"], "--z1", "inside the focal length"),
+        (["--z2", "1e-320"], "--z2", "inside the focal length"),
+        # the default source plane 2f overflows, or 1/f does
+        (["--focal", "1e308"], "--focal", "must keep 1 / focal and 2 * focal finite, got 1e+308"),
+        (["--focal", "1e-320"], "--focal", "must keep 1 / focal and 2 * focal finite, got 1e-320"),
+        (["--focal", "2e-309", "--z1", "0.4"], "--focal", "must keep 1 / focal and 2 * focal"),
     ],
 )
 def test_airy_distance_errors_name_the_given_plane(capsys, argv, flag, problem):
@@ -722,11 +730,34 @@ def test_airy_rejects_an_aperture_whose_area_underflows(capsys, extra):
     assert run_main(argv, capsys) == (1, "", message)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-0.001"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.001", "1e308", "1e302"])
 def test_airy_rejects_bad_rmax(capsys, value):
+    # 1e308 overflows the radii, 1e302 the wavenumber times the radius
     code, out, err = run_main(["airy", "--samples", "4", "--rmax", value], capsys)
     assert (code, out) == (1, "")
-    assert "r_max" in err
+    assert err.startswith("error: r_max must") and err.count("\n") == 1, err
+
+
+def test_airy_names_rmax_when_the_default_radius_overflows(capsys):
+    # three dark-ring radii, 1.83 lambda z2 / R, overflow at lambda = 1e308
+    code, out, err = run_main(["airy", "--samples", "4", "--wavelength", "1e308"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the default r_max (--rmax sets it) must keep"), err
+    assert err.endswith("got inf\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rmax", "1e301"],  # 2 pi / lambda * r_max / z2
+        ["--rmax", "1e300", "--aperture", "1e3"],  # J0's argument at the rim
+        ["--focal", "1e-170", "--aberration"],  # the aberration phase
+    ],
+)
+def test_airy_rejects_a_quadrature_phase_or_argument_that_overflows(capsys, argv):
+    code, out, err = run_main(["airy", "--samples", "3", *argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the quadrature's phase or J0 argument") and err.count("\n") == 1
 
 
 # --- check ----------------------------------------------------------------------

@@ -228,6 +228,24 @@ def test_tensor_product_drops_slots_no_term_occupies():
     }
 
 
+def test_tensor_product_of_an_engine_output_matches_a_direct_build():
+    # the splitter leaves a.x and b.x as empty slots of the moved state,
+    # which the product drops; its ports keep every factor's ports
+    cx, dx, ex = Mode("c", "x"), Mode("d", "x"), Mode("e", "x")
+    start = PhotonState({BasisState({AX: 1, BX: 1}): 0.6, BasisState({AX: 2}): 0.8}, ports=["z"])
+    moved = paths.apply_transform(start, make_rbs(0.6, 0.8j, in_modes=(AX, BX), out_modes=(cx, dx)))
+    assert moved._slots == (AX, BX, cx, dx)
+    other = PhotonState({BasisState({AY: 2}): 0.6, BasisState({ex: 1}): 0.8j}, ports=["f"])
+    for factors in ((moved, other), (other, moved)):
+        product = tensor_product(*factors)
+        direct = PhotonState(
+            {b1.combine(b2): a1 * a2 for b1, a1 in factors[0] for b2, a2 in factors[1]}
+        )
+        assert product.terms == direct.terms
+        assert set(product._slots) == {cx, dx, AY, ex}
+        assert product.ports == {"a", "b", "c", "d", "e", "f", "z"}
+
+
 def test_json_round_trip():
     s = PhotonState(
         {
@@ -285,13 +303,14 @@ def test_photon_budget_never_exceeds_max_count():
 
 
 def test_slot_order_never_shows():
-    # an identity splitter's outputs take its inputs' slots, so the moved
-    # state keys its terms over (b.x, a.x) where a direct build sorts them
+    # an identity splitter's outputs get new slots after its inputs', which
+    # it empties, so the moved state keys its terms over (c.x, d.x, a.x,
+    # b.x) where a direct build keys them over the sorted occupied modes
     cx, dx = Mode("c", "x"), Mode("d", "x")
     start = PhotonState({BasisState({cx: 1, dx: 1}): 0.6, BasisState({cx: 2}): 0.8j})
     identity = make_rbs(1.0, 0.0, in_modes=(dx, cx), out_modes=(AX, BX))
     moved = paths.apply_transform(start, identity)
-    assert moved._slots == (BX, AX)
+    assert moved._slots == (cx, dx, AX, BX)
     terms = {BasisState({AX: 1, BX: 1}): 0.6, BasisState({BX: 2}): 0.8j}
     for direct in (PhotonState(terms), PhotonState(dict(reversed(terms.items())))):
         direct = normalize(direct)
@@ -485,9 +504,10 @@ def _unit_scale(terms: dict) -> bool:
 
 def _check_finish(terms: dict, normalized: bool = True) -> None:
     want = _three_pass_finish(dict(terms), normalized)
-    got = _finished(FINISH_SLOTS, dict(terms), {"c"}, [AX], normalized=normalized)
+    # the ports are the given ones plus every slot's, b.x empty or not
+    got = _finished(FINISH_SLOTS, dict(terms), {"c"}, normalized=normalized)
     assert _hexed(got._terms) == _hexed(want)
-    assert got._slots == FINISH_SLOTS and got.ports == {"a", "c"}
+    assert got._slots == FINISH_SLOTS and got.ports == {"a", "b", "c"}
 
 
 def _finish_cases(seed: int, count: int, *, tiny: float | None, norm2: float, unit: bool):

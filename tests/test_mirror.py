@@ -619,6 +619,44 @@ def test_profile_rejects_bad_outer_radius(r_max):
         airy_profile(desk_geometry(), n_samples=4, r_max=r_max)
 
 
+@pytest.mark.parametrize(
+    "n_samples, r_max, wavelength",
+    [
+        (3, 1e308, 0.5e-6),  # r_max * (n_samples - 1) overflows
+        (3, 1e302, 0.5e-6),  # 2 pi / wavelength * r_max overflows
+        (2, 1e308, 1.0),  # only the wavenumber product: 2 pi * 1e308
+    ],
+)
+def test_profile_rejects_an_outer_radius_whose_products_overflow(n_samples, r_max, wavelength):
+    g = MirrorGeometry(0.2, 0.01, wavelength, 0.4, 0.4)
+    msg = r"^r_max must keep r_max \* \(n_samples - 1\) and 2 pi / wavelength \* r_max finite"
+    with pytest.raises(ValueError, match=msg):
+        airy_profile(g, n_samples=n_samples, r_max=r_max)
+
+
+def test_profile_names_the_default_outer_radius_when_it_overflows():
+    # three dark-ring radii scale as lambda z2 / R: inf at lambda = 1e308
+    g = MirrorGeometry(0.2, 0.01, 1e308, 0.4, 0.4)
+    with pytest.raises(ValueError, match=r"^the default r_max \(--rmax sets it\) .* got inf$"):
+        airy_profile(g, n_samples=3)
+
+
+@pytest.mark.parametrize(
+    "geometry, r_max, aberration",
+    [
+        (MirrorGeometry(0.2, 0.01, 0.5e-6, 0.4, 0.4), 1e301, False),
+        (MirrorGeometry(0.2, 1e3, 0.5e-6, 0.4, 0.4), 1e300, False),
+        (MirrorGeometry(1e-170, 0.01, 0.5e-6, 2e-170, 2e-170), None, True),
+    ],
+    ids=["bessel_argument", "rim_argument", "aberration_phase"],
+)
+def test_profile_rejects_an_overflowing_phase_or_argument_without_a_warning(
+    geometry, r_max, aberration
+):
+    with pytest.raises(ValueError, match="^the quadrature's phase or J0 argument overflows"):
+        airy_profile(geometry, n_samples=3, r_max=r_max, include_aberration=aberration)
+
+
 def test_profile_accepts_zero_outer_radius():
     samples = airy_profile(desk_geometry(), n_samples=3, r_max=0.0)
     assert [s.position for s in samples] == [0.0, 0.0, 0.0]

@@ -363,6 +363,63 @@ def _run(text, engine):
     return run_circuit(parse_circuit(text), engine=engine).state
 
 
+# circuits whose operators walk stops before a rerouting element, expands,
+# and walks on: a photon at 45 degrees turned to x keeps a row at r.y that
+# cancels in the state
+WALK_SPLITTING = [
+    "port a\nport t\nport r\nport e\nport f\nport g\nsource a linpol angle=45 n=1\n"
+    "rotpol angle=45 on a\npbs axis=0 a -> t r\nrbs split=50 e f -> r g\n",
+    "port a\nport b\nport t\nport r\nport e\nport f\nport g\nsource a linpol angle=45 n=2\n"
+    "source b fock 1 pol x\nrotpol angle=45 on a\npbs axis=0 a -> t r\n"
+    "rbs split=50 b f -> r g\nrbs split=50 t g -> e f\nphase deg=30 on e\n",
+]
+
+
+def test_both_engines_end_every_circuit_on_one_slot_table(circuits_dir, monkeypatch):
+    """Slot tables only grow, each element appending the modes it names
+    that have none yet, inputs before outputs, so the two engines end on
+    one table, and a state's ports are its declared ports plus every
+    element's."""
+    walks = []
+    composed = operators._composed
+
+    def counted(slots, terms, bound):
+        walks.append(bound)
+        return composed(slots, terms, bound)
+
+    monkeypatch.setattr(operators, "_composed", counted)
+    rng = random.Random(30)
+    texts = [f.read_text() for f in sorted(circuits_dir.glob("*.fpc"))] + WALK_SPLITTING
+    texts += [random_circuit_text(rng, max_elements=6) for _ in range(200)]
+    split = 0
+    for text in texts:
+        circuit = parse_circuit(text)
+        start = initial_state(circuit)
+        walks.clear()
+        by_paths = paths.evolve(start, circuit.bound)
+        by_operators = operators.evolve(start, circuit.bound)
+        split += len(walks) > 1
+        named = [m for t, _ in circuit.bound for m in t.in_modes + t.out_modes]
+        assert by_paths._slots == by_operators._slots == start._slots + tuple(
+            m for m in dict.fromkeys(named) if m not in start._slots
+        ), text
+        ports = set(circuit.ports) | {m.port for m in named}
+        assert by_paths.ports == by_operators.ports == ports, text
+    assert split >= 2
+
+
+def test_polynomial_to_state_ports_include_every_slot():
+    # a slot empty in every monomial still names its port, as in an engine
+    # state: the input modes a substitution emptied, or a hand-built table
+    poly = state_to_polynomial(PhotonState({BasisState({M1: 1, M2: 1}): 1.0}))
+    moved = substitute_modes(poly, make_split50_rbs(in_modes=(M1, M2), out_modes=(M3, M4)))
+    assert moved._slots == (M1, M2, M3, M4)
+    assert polynomial_to_state(moved).ports == {"1", "2", "3", "4"}
+    spare = CreationPolynomial._trusted((M1, M3), {_key([1, 0]): 1.0 + 0j})
+    assert polynomial_to_state(spare).ports == {"1", "3"}
+    assert polynomial_to_state(spare, ports=["9"]).ports == {"1", "3", "9"}
+
+
 @pytest.mark.parametrize("engine", ["paths", "operators"])
 def test_rerouting_into_a_mode_an_earlier_element_filled_fails_at_its_line(engine):
     text = (

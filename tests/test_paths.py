@@ -22,10 +22,12 @@ from fockpath import (
     NonUnitaryError,
     PhotonBudgetError,
     PhotonState,
+    initial_state,
     make_phase_shifter,
     make_rbs,
     make_split50_rbs,
     parse_circuit,
+    random_circuit_text,
     run_circuit,
     scatter_two_mode,
     trace_paths,
@@ -446,18 +448,45 @@ def test_rerouting_into_fresh_and_emptied_slots_matches_reference(engine):
 
 
 def test_element_slots_keeps_the_state_keys_for_fresh_input_modes():
-    # a new last slot is already empty in every key, so the state's own keys
-    # hold the element's input counts at ``ins`` of the new table
+    # the table only grows: new last slots, inputs before outputs, are
+    # already empty in every key, so the state's own keys hold the element's
+    # input counts at ``ins`` of the new table
     ax, bx, cx, dx = (Mode(p, "x") for p in "abcd")
     state = PhotonState({BasisState({ax: 1, bx: 2}): 0.6, BasisState({bx: 1}): 0.8})
     in_place = make_rbs(0.6, 0.8j, in_modes=(cx, dx), out_modes=(cx, dx))
     rerouting = make_rbs(0.6, 0.8j, in_modes=(bx, cx), out_modes=(dx, Mode("e", "x")))
-    for t, want_ins in ((in_place, (2, 3)), (rerouting, (1, 2))):
+    for t, want_ins, want_outs in ((in_place, (2, 3), (2, 3)), (rerouting, (1, 2), (3, 4))):
         slots, ins, outs = paths._element_slots(state, t)
-        assert ins == want_ins and len(slots) == 2 + len(set(t.in_modes) - {bx})
-        assert slots[0] == ax and [slots[i] for i in outs] == list(t.out_modes)
+        assert ins == want_ins and outs == want_outs
+        assert slots[:2] == state._slots == (ax, bx)
+        assert len(slots) == 2 + len(set(t.in_modes + t.out_modes) - {bx})
+        assert [slots[i] for i in outs] == list(t.out_modes)
         for key, bs in zip(state._terms, state.terms):
             assert _at(key, ins) == [bs.count(m) for m in t.in_modes]
+
+
+def test_each_path_sum_step_appends_to_its_input_table(monkeypatch, circuits_dir):
+    # a slot keeps its mode once given: each element's output table is its
+    # input table followed by the modes it names that had no slot, inputs
+    # before outputs
+    real, steps = paths.apply_transform, []
+
+    def recorded(state, t):
+        out = real(state, t)
+        steps.append((state._slots, out._slots, t))
+        return out
+
+    monkeypatch.setattr(paths, "apply_transform", recorded)
+    rng = random.Random(31)
+    texts = [REROUTING_TEXT] + [f.read_text() for f in sorted(circuits_dir.glob("*.fpc"))]
+    texts += [random_circuit_text(rng, max_elements=6) for _ in range(100)]
+    for text in texts:
+        circuit = parse_circuit(text)
+        paths.evolve(initial_state(circuit), circuit.bound)
+    assert len(steps) > 300
+    for before, after, t in steps:
+        named = dict.fromkeys(t.in_modes + t.out_modes)
+        assert after == before + tuple(m for m in named if m not in before), t
 
 
 @pytest.mark.parametrize("engine, per_element", [("paths", 1), ("both", 1), ("operators", 0)])
