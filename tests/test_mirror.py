@@ -613,25 +613,11 @@ def test_profile_monotone_to_first_zero():
         assert b < a
 
 
-@pytest.mark.parametrize("r_max", [math.nan, math.inf, -1e-6])
+# 1e308 overflows r_max * (n_samples - 1), 1e302 only 2 pi / wavelength * r_max
+@pytest.mark.parametrize("r_max", [math.nan, math.inf, -1e-6, 1e308, 1e302])
 def test_profile_rejects_bad_outer_radius(r_max):
     with pytest.raises(ValueError, match="r_max"):
         airy_profile(desk_geometry(), n_samples=4, r_max=r_max)
-
-
-@pytest.mark.parametrize(
-    "n_samples, r_max, wavelength",
-    [
-        (3, 1e308, 0.5e-6),  # r_max * (n_samples - 1) overflows
-        (3, 1e302, 0.5e-6),  # 2 pi / wavelength * r_max overflows
-        (2, 1e308, 1.0),  # only the wavenumber product: 2 pi * 1e308
-    ],
-)
-def test_profile_rejects_an_outer_radius_whose_products_overflow(n_samples, r_max, wavelength):
-    g = MirrorGeometry(0.2, 0.01, wavelength, 0.4, 0.4)
-    msg = r"^r_max must keep r_max \* \(n_samples - 1\) and 2 pi / wavelength \* r_max finite"
-    with pytest.raises(ValueError, match=msg):
-        airy_profile(g, n_samples=n_samples, r_max=r_max)
 
 
 def test_profile_names_the_default_outer_radius_when_it_overflows():

@@ -19,6 +19,7 @@ from fockpath import (
     BasisState,
     Mode,
     ModeMismatchError,
+    ModeTransform,
     NonUnitaryError,
     PhotonBudgetError,
     PhotonState,
@@ -300,6 +301,20 @@ def test_evolve_names_no_line_that_is_none(engine, monkeypatch):
     with pytest.raises(PhotonBudgetError) as info:
         engine.evolve(one, [(t, None)])
     assert str(info.value) == "the state has 2 terms, more than the maximum of 1"
+
+
+@BOTH_ENGINES
+def test_one_mode_element_may_move_its_photons_to_a_new_mode(engine):
+    # a.x -> b.x with a phase per photon: the path-sum engine moves the
+    # counts into b.x's new slot, as it does for a rerouting splitter
+    ax, bx, cx = (Mode(p, "x") for p in "abc")
+    phase = cmath.exp(0.3j)
+    t = ModeTransform(in_modes=(ax,), out_modes=(bx,), matrix=((phase,),))
+    s = PhotonState({BasisState({ax: 2, cx: 1}): 0.6, BasisState({cx: 2}): 0.8})
+    out = engine.apply_transform(s, t)
+    assert out.terms.keys() == {BasisState({bx: 2, cx: 1}), BasisState({cx: 2})}
+    assert abs(out.amplitude({bx: 2, cx: 1}) - 0.6 * phase**2) < 1e-15
+    assert out.amplitude({cx: 2}) == 0.8
 
 
 @BOTH_ENGINES
