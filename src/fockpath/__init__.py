@@ -6,184 +6,24 @@ the `operators` engine substitutes creation operators.  Each module has the
 same two entry points, `evolve(state, circuit.bound)` for a whole circuit
 and `apply_transform(state, t)` for one element; `run_circuit(...,
 engine="both")` runs both engines' `evolve` and cross-checks the results.
+
+The package exports each module's ``__all__``.  Neither engine lists its
+entry points, so the star imports below cannot shadow one with the other.
 """
 
-from .coherent import (
-    CoherentParams,
-    coherent_fidelity,
-    coherent_fock_coefficients,
-    coherent_state,
-    combine_polarized_coherent,
-    default_truncation,
-    poisson_tail,
-    rbs_coherent_output,
-    waveplate_coherent_output,
-)
-from .circuit import (
-    DEMO_CIRCUITS,
-    Circuit,
-    RunResult,
-    SourceSpec,
-    cross_check,
-    elaborate,
-    initial_state,
-    make_source,
-    parse_circuit,
-    random_circuit_text,
-    run_circuit,
-    serialize_circuit,
-)
-from .elements import (
-    ModeTransform,
-    make_pbs,
-    make_phase_shifter,
-    make_polarization_rotation,
-    make_rbs,
-    make_split50_rbs,
-    make_waveplate,
-    rotation_matrix,
-    thin_sheet_coefficients,
-    unitarity_defect,
-)
-from .errors import (
-    ConvergenceError,
-    EnergyConservationError,
-    EngineDisagreementError,
-    FockPathError,
-    ModeMismatchError,
-    NonUnitaryError,
-    NullStateError,
-    ParseError,
-    PhaseRelationError,
-    PhotonBudgetError,
-    TruncationError,
-    UnknownPortError,
-)
-from .fock import (
-    DEFAULT_MAX_PHOTONS,
-    BasisState,
-    Mode,
-    PhotonState,
-    expected_photon_number,
-    inner_product,
-    max_amplitude_difference,
-    normalize,
-    number_distribution,
-    state_from_json,
-    state_to_json,
-    tensor_product,
-)
-from .mirror import (
-    AIRY_FIRST_ZERO,
-    FieldSample,
-    MirrorGeometry,
-    aberration_phase,
-    aberration_phase_max,
-    airy_amplitude_closed,
-    airy_first_zero_radius,
-    airy_profile,
-    bessel_j0,
-    bessel_j1,
-    exact_path_length,
-    focal_amplitude_quadrature,
-    geometric_image_point,
-    image_distance,
-    paraxial_path_length,
-)
-from .operators import (
-    CreationPolynomial,
-    polynomial_to_state,
-    state_to_polynomial,
-    substitute_modes,
-)
-from .paths import RoutingTrace, scatter_two_mode, trace_paths
+from .fock import *
+from .elements import *
+from .paths import *
+from .operators import *
+from .coherent import *
+from .circuit import *
+from .mirror import *
+from .errors import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # states
-    "Mode",
-    "BasisState",
-    "PhotonState",
-    "DEFAULT_MAX_PHOTONS",
-    "normalize",
-    "inner_product",
-    "number_distribution",
-    "expected_photon_number",
-    "max_amplitude_difference",
-    "tensor_product",
-    "state_to_json",
-    "state_from_json",
-    # elements
-    "ModeTransform",
-    "make_rbs",
-    "make_split50_rbs",
-    "make_pbs",
-    "make_waveplate",
-    "make_polarization_rotation",
-    "make_phase_shifter",
-    "rotation_matrix",
-    "thin_sheet_coefficients",
-    "unitarity_defect",
-    # engines
-    "scatter_two_mode",
-    "trace_paths",
-    "RoutingTrace",
-    "CreationPolynomial",
-    "state_to_polynomial",
-    "polynomial_to_state",
-    "substitute_modes",
-    # coherent
-    "CoherentParams",
-    "poisson_tail",
-    "default_truncation",
-    "coherent_fock_coefficients",
-    "coherent_state",
-    "rbs_coherent_output",
-    "waveplate_coherent_output",
-    "combine_polarized_coherent",
-    "coherent_fidelity",
-    # circuits
-    "Circuit",
-    "SourceSpec",
-    "RunResult",
-    "parse_circuit",
-    "serialize_circuit",
-    "elaborate",
-    "initial_state",
-    "make_source",
-    "run_circuit",
-    "cross_check",
-    "random_circuit_text",
-    "DEMO_CIRCUITS",
-    # mirror
-    "MirrorGeometry",
-    "FieldSample",
-    "AIRY_FIRST_ZERO",
-    "image_distance",
-    "geometric_image_point",
-    "exact_path_length",
-    "paraxial_path_length",
-    "aberration_phase",
-    "aberration_phase_max",
-    "bessel_j0",
-    "bessel_j1",
-    "airy_amplitude_closed",
-    "airy_first_zero_radius",
-    "airy_profile",
-    "focal_amplitude_quadrature",
-    # errors
-    "FockPathError",
-    "NullStateError",
-    "UnknownPortError",
-    "NonUnitaryError",
-    "EnergyConservationError",
-    "PhaseRelationError",
-    "ModeMismatchError",
-    "PhotonBudgetError",
-    "TruncationError",
-    "ConvergenceError",
-    "EngineDisagreementError",
-    "ParseError",
+__all__ = ["__version__"] + [
+    name
+    for module in (fock, elements, paths, operators, coherent, circuit, mirror, errors)
+    for name in module.__all__
 ]

@@ -64,16 +64,12 @@ from .fock import (
 )
 
 __all__ = [
-    "ENGINE_TOLERANCE",
     "SourceSpec",
-    "SourceStmt",
-    "ElementStmt",
     "Circuit",
     "RunResult",
     "parse_circuit",
     "serialize_circuit",
     "make_source",
-    "source_budget",
     "elaborate",
     "initial_state",
     "run_circuit",

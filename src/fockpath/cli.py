@@ -214,7 +214,9 @@ def _conjugate_distance(flag: str, given: float, focal: float) -> float:
     """The distance conjugate to ``given``, the plane that ``flag`` sets:
     1/z1 + 1/z2 = 1/f is symmetric, so one solver gives either.  Errors
     name ``flag``; a plane at or inside the focal length has no real
-    conjugate, and nor has one so close that 1 / ``given`` overflows."""
+    conjugate, and nor has one so close that 1 / ``given`` overflows.  Nor
+    has one so near it that 1/f - 1/``given`` is subnormal: the conjugate
+    overflows."""
     _require_length(flag, given)
     other = image_distance(given, focal, plane=f"the {flag} plane")
     if not other > 0:  # -0.0 when 1 / given overflows
@@ -222,6 +224,8 @@ def _conjugate_distance(flag: str, given: float, focal: float) -> float:
             f"the {flag} plane at {given:g} m is inside the focal length "
             f"{focal:g} m, so it has no real conjugate plane"
         )
+    if not other < math.inf:
+        raise ValueError(f"the {flag} plane at {given:g} m has a conjugate plane that overflows")
     return other
 
 

@@ -20,7 +20,6 @@ from .errors import NullStateError, TruncationError
 from .fock import BasisState, Mode, PhotonState, inner_product, normalize, tensor_product
 
 __all__ = [
-    "TAIL_TOL",
     "CoherentParams",
     "poisson_tail",
     "default_truncation",

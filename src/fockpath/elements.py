@@ -29,11 +29,8 @@ from .errors import (
 from .fock import Mode
 
 __all__ = [
-    "UNITARY_TOL",
-    "SPLIT50",
     "ModeTransform",
     "unitarity_defect",
-    "require_unitary",
     "make_rbs",
     "make_split50_rbs",
     "make_pbs",
@@ -42,7 +39,6 @@ __all__ = [
     "make_phase_shifter",
     "thin_sheet_coefficients",
     "rotation_matrix",
-    "mat2_mul",
 ]
 
 # Tolerance for user-supplied coefficients; constructors built from angles

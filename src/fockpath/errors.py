@@ -1,5 +1,20 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FockPathError",
+    "NullStateError",
+    "UnknownPortError",
+    "NonUnitaryError",
+    "EnergyConservationError",
+    "PhaseRelationError",
+    "ModeMismatchError",
+    "PhotonBudgetError",
+    "TruncationError",
+    "ConvergenceError",
+    "EngineDisagreementError",
+    "ParseError",
+]
+
 
 class FockPathError(Exception):
     """Base class for all package-specific errors."""

@@ -30,10 +30,6 @@ from .errors import NullStateError, PhotonBudgetError, UnknownPortError
 
 __all__ = [
     "DEFAULT_MAX_PHOTONS",
-    "MAX_COUNT",
-    "MAX_TERMS",
-    "PRUNE_EPS",
-    "check_photon_budget",
     "Mode",
     "BasisState",
     "PhotonState",
@@ -43,8 +39,6 @@ __all__ = [
     "expected_photon_number",
     "max_amplitude_difference",
     "tensor_product",
-    "state_to_json_obj",
-    "state_from_json_obj",
     "state_to_json",
     "state_from_json",
 ]

@@ -55,8 +55,6 @@ __all__ = [
     "state_to_polynomial",
     "polynomial_to_state",
     "substitute_modes",
-    "apply_transform",
-    "evolve",
 ]
 
 ENGINE_NAME = "operators"

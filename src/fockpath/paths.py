@@ -37,7 +37,7 @@ from .fock import (
     normalize,  # noqa: F401
 )
 
-__all__ = ["RoutingTrace", "scatter_two_mode", "trace_paths", "apply_transform", "evolve"]
+__all__ = ["RoutingTrace", "scatter_two_mode", "trace_paths"]
 
 ENGINE_NAME = "paths"
 

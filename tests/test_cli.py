@@ -224,14 +224,32 @@ def test_readme_check_sample_is_the_real_output(capsys):
     assert out.splitlines() == _readme_sample("check --count 200 --seed 7")
 
 
-def test_readme_library_sample_is_the_real_output(capsys):
-    """The README's "Library use" snippet prints what its comments show: the
-    amplitude dict over the first two comment lines, then the discrepancy."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
-    exec(block, {})
-    comments = [line.split("# ", 1)[1] for line in block.splitlines() if "# " in line]
-    assert capsys.readouterr().out.splitlines() == ["".join(comments[:2]), comments[2]]
+def test_readme_library_sample_is_the_real_output(capsys, monkeypatch):
+    """Each of the README's "Library use" snippets runs and prints what its
+    comments show.  The first prints the amplitude dict over its first two
+    comment lines, then the discrepancy; the engines snippet, which reads
+    ``circuits/hom.fpc`` from the repo root, prints the discrepancy and the
+    sorted terms; the mirror snippet prints nothing."""
+    root = Path(__file__).resolve().parent.parent
+    section = (root / "README.md").read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    blocks = [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
+    comments = [
+        [line.split("# ", 1)[1] for line in block.splitlines() if "# " in line] for block in blocks
+    ]
+    expected = [
+        ["".join(comments[0][:2]), comments[0][2]],
+        [comments[1][2], comments[1][4]],
+        [],
+    ]
+    assert len(blocks) == len(expected)
+    assert comments[1][2] == "0.0"
+    monkeypatch.chdir(root)
+    for block, lines in zip(blocks, expected):
+        namespace = {}
+        exec(block, namespace)
+        assert capsys.readouterr().out.splitlines() == lines
+    assert len(namespace["samples"]) == 120
 
 
 def test_run_requires_exactly_one_circuit(tmp_path, capsys):
@@ -696,6 +714,9 @@ def test_airy_aberration_lowers_peak(capsys):
         (["--focal", "1e308"], "--focal", "must keep 1 / focal and 2 * focal finite, got 1e+308"),
         (["--focal", "1e-320"], "--focal", "must keep 1 / focal and 2 * focal finite, got 1e-320"),
         (["--focal", "2e-309", "--z1", "0.4"], "--focal", "must keep 1 / focal and 2 * focal"),
+        # 1/f - 1/z is subnormal, so the conjugate plane is inf
+        (["--focal", "8e307", "--z1", "1.2e308"], "--z1", "conjugate plane that overflows"),
+        (["--focal", "8e307", "--z2", "1.2e308"], "--z2", "conjugate plane that overflows"),
     ],
 )
 def test_airy_distance_errors_name_the_given_plane(capsys, argv, flag, problem):

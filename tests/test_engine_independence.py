@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import fockpath
 from fockpath import cli, paths
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fockpath"
@@ -92,17 +93,33 @@ def test_import_scan_sees_every_import_form():
         assert "operators" in imported_modules(line)
 
 
+def declares_all(module: str) -> bool:
+    """Whether the package module ``module`` assigns ``__all__``."""
+    path = PACKAGE / f"{module}.py"
+    return path.exists() and any(
+        isinstance(t, ast.Name) and t.id == "__all__"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+    )
+
+
 def _unread_imports(source: str) -> list[tuple[str, bool, int]]:
     """``(name, marked, count)`` for each name the source imports and never
     reads or lists in ``__all__``: whether its line carries ``# noqa: F401``,
-    and how many such names that line holds."""
+    and how many such names that line holds.  ``from .X import *`` counts as
+    read when package module ``X`` declares ``__all__``, since then the
+    names it brings are that list; otherwise it is reported as ``X.*``."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.ImportFrom) and node.names[0].name == "*":
+            if not (node.level == 1 and declares_all(node.module)):
+                imported.append((f"{node.module}.*", node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.extend(
                 (alias.asname or alias.name.split(".")[0], alias.lineno)
                 for alias in node.names
@@ -113,7 +130,8 @@ def _unread_imports(source: str) -> list[tuple[str, bool, int]]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        for elt in node.value.elts
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
     }
     unread = [(name, line) for name, line in imported if name not in read | exported]
     per_line = Counter(line for _, line in unread)
@@ -140,13 +158,18 @@ def test_module_imports_only_names_it_uses(module):
 
 def test_package_exports_only_names_their_modules_export():
     """Every name ``__init__`` imports from ``.X`` is in ``X.__all__``, for
-    each module ``X`` that declares one."""
+    each module ``X`` that declares one, and every module it star-imports
+    declares one, so each module's ``__all__`` is the package's only list
+    of what it exports."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     missing = []
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             exported = importlib.import_module(f"fockpath.{node.module}").__dict__.get("__all__")
-            if exported is not None:
+            if node.names[0].name == "*":
+                if exported is None:
+                    missing.append(f"{node.module}.__all__")
+            elif exported is not None:
                 missing += [
                     f"{node.module}.{alias.name}"
                     for alias in node.names
@@ -167,12 +190,21 @@ def test_unused_import_scan():
         "    g,\n"
         ")\n"
         "from .h import i, j  # noqa: F401\n"
-        "__all__ = ['g']\n"
+        "from .fock import *\n"
+        "from .nowhere import *\n"
+        "__all__ = ['g'] + [k for k in fock.__all__]\n"
         "print(np.pi, e, b, i)\n"
     )
-    assert unused_imports(source) == ["os"]
+    # the star import from a module that declares __all__ is read; the
+    # other brings names no list owns
+    assert unused_imports(source) == ["nowhere.*", "os"]
     # a second unused name on a marked line is not covered by the mark
-    assert unused_imports(source.replace("np.pi, e, b", "np.pi, e")) == ["b", "c", "os"]
+    assert unused_imports(source.replace("np.pi, e, b", "np.pi, e")) == [
+        "b",
+        "c",
+        "nowhere.*",
+        "os",
+    ]
 
 
 def _load_tracer():
@@ -188,7 +220,8 @@ def _load_tracer():
 def test_tracer_sites_exist_and_cover_every_kept_import():
     """The perfbench tracer wraps functions at the module attribute their
     callers look up; a name removed from the package breaks ``--trace``.
-    Every import kept only by a ``# noqa: F401`` mark is such a site."""
+    Every import the package keeps without reading it, which only a
+    ``# noqa: F401`` mark may do, is such a site."""
     tracer = _load_tracer()
     sites = {(module, attr) for module, attr, *_ in tracer.SPAN_SITES + tracer.COUNT_SITES}
     missing = [
@@ -197,10 +230,39 @@ def test_tracer_sites_exist_and_cover_every_kept_import():
         if not hasattr(importlib.import_module(f"fockpath.{module}"), attr)
     ]
     assert missing == []
-    marked = {
+    kept = {
         (path.stem, name)
         for path in PACKAGE.glob("*.py")
-        for name, is_marked, _ in _unread_imports(path.read_text(encoding="utf-8"))
-        if is_marked
+        for name, _, _ in _unread_imports(path.read_text(encoding="utf-8"))
     }
-    assert marked - sites == set()
+    assert kept - sites == set()
+
+
+def test_star_imports_shadow_no_name():
+    """``__init__`` star-imports its modules, so a name two modules export
+    would silently bind to the later one.  The engines' shared entry points
+    therefore stay out of both lists and off the package; they are reached
+    as ``fockpath.paths.evolve`` and ``fockpath.operators.evolve``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    starred = [
+        node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.names[0].name == "*"
+    ]
+    owners = {}
+    for module in starred:
+        for name in importlib.import_module(f"fockpath.{module}").__all__:
+            owners.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+    assert sorted(fockpath.__all__) == sorted(["__version__", *owners])
+    assert [
+        name
+        for name, (module,) in owners.items()
+        if getattr(fockpath, name) is not getattr(importlib.import_module(f"fockpath.{module}"), name)
+    ] == []
+    # every module but the command-line front end is part of the package's
+    # surface, and every module declares what it exports
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert sorted(starred) == sorted(modules - {"cli"})
+    assert [m for m in sorted(modules) if not declares_all(m)] == []
+    assert not hasattr(fockpath, "evolve") and not hasattr(fockpath, "apply_transform")

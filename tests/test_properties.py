@@ -41,8 +41,11 @@ VALUES = [
     "-1", "0", "1", "45", "0.5", "171", "999", "1e400", "nan", "inf", "1e-320", "1+0i", "0.6+0.8i",
 ]
 COUNTS = ["0", "1", "3", "-1", "171", "999", "1e400", "nan"]
-# flag values at the float edges; AIRY_FLAGS holds an ordinary one for each flag
-EDGES = ["0", "-1", "nan", "inf", "1e308", "1e302", "1e-320", "5e-324", "1e-170", "1e200"]
+# flag values at the float edges; AIRY_FLAGS holds an ordinary one for each
+# flag.  A focal length of 8e307 puts the conjugate of a plane at 1.2e308 at inf.
+EDGES = [
+    "0", "-1", "nan", "inf", "1e308", "1e302", "1e-320", "5e-324", "1e-170", "1e200", "8e307", "1.2e308",
+]
 
 
 def _quiet_main(argv):
@@ -159,6 +162,8 @@ def airy_argvs(draw):
 @example(["airy", "--samples", "3", "--rmax", "1e302"])
 @example(["airy", "--samples", "3", "--wavelength", "1e308"])
 @example(["airy", "--samples", "3", "--focal", "1e-170", "--aberration"])
+@example(["airy", "--samples", "3", "--focal", "8e307", "--z1", "1.2e308"])
+@example(["airy", "--samples", "3", "--focal", "8e307", "--z2", "1.2e308"])
 def test_airy_fails_with_one_error_line_or_prints_finite_numbers(argv):
     code, out, err, caught = _quiet_main(argv)
     assert caught == [], (argv, caught)
